@@ -6,7 +6,8 @@ core, extending the reproduction toward the authors' asynchronous
 follow-up paper (arXiv:1909.02865):
 
 * :class:`EventDrivenNetwork` — the core: protocols unchanged, every
-  delivery an event with a virtual timestamp from a :class:`Scheduler`;
+  delivery given a virtual timestamp by a :class:`Scheduler` and held
+  in per-tick buckets until that tick;
 * :class:`LockstepScheduler` — unit delays; provably trace-equivalent
   to :class:`~repro.net.simulator.SynchronousNetwork`;
 * :class:`SeededAsyncScheduler` — reproducible random per-link delays
@@ -20,14 +21,13 @@ follow-up paper (arXiv:1909.02865):
 
 from .adversarial import AdversarialScheduler
 from .base import EventDrivenNetwork, Scheduler, SchedulingError
-from .events import DeliveryEvent, SendEvent
+from .events import SendEvent
 from .lockstep import LockstepScheduler
 from .seeded import SeededAsyncScheduler
 from .specs import SCHEDULER_KINDS, SchedulerSpec, parse_scheduler
 
 __all__ = [
     "AdversarialScheduler",
-    "DeliveryEvent",
     "EventDrivenNetwork",
     "LockstepScheduler",
     "SCHEDULER_KINDS",

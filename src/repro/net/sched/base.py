@@ -18,22 +18,21 @@ This module makes message *timing* a first-class, pluggable axis:
     than ``t + 1`` (delays are ≥ 1);
   - **FIFO per link** — deliveries over one directed link never
     overtake each other (late-assigned timestamps are clamped up to the
-    link's high-water mark; equal timestamps preserve send order via
-    the event queue's sequence tie-break);
+    link's high-water mark; equal timestamps preserve send order
+    because each tick's bucket is appended in send order);
   - **local-broadcast atomicity** (when the scheduler declares it) —
     all recipients of one broadcast receive it at the same instant, the
     timing analogue of "received identically by each of its neighbors".
 
 Determinism contract: the core activates nodes in repr-sorted order,
-drains the event queue in ``(time, seq)`` order, and hands schedulers
-their recipients in canonical order — so a run is a pure function of
-(graph, protocols, channel, scheduler), independent of
-``PYTHONHASHSEED`` and of any executor's process layout.
+keeps pending deliveries in a calendar of per-tick buckets drained in
+send order, and hands schedulers their recipients in canonical order —
+so a run is a pure function of (graph, protocols, channel, scheduler),
+independent of ``PYTHONHASHSEED`` and of any executor's process layout.
 """
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
@@ -50,7 +49,7 @@ from ..trace import (
     Delivery,
     Transmission,
 )
-from .events import DeliveryEvent, SendEvent
+from .events import SendEvent
 
 
 class SchedulingError(RuntimeError):
@@ -85,51 +84,69 @@ class Scheduler(ABC):
     bounded = False
     worst_case_delay: Optional[int] = None
     #: Observability sink.  The engine points this at its own registry
-    #: when metrics are on; the default no-op keeps ``delay`` draws
-    #: free to observe unconditionally.
+    #: when metrics are on; ``sched.delay`` is only observed then.
     metrics = NULL_METRICS
 
     def bind(self, graph: Graph, channel: ChannelModel) -> None:
         """Attach to one run: reset link clocks and any per-run state."""
         self.graph = graph
         self.channel = channel
-        self._link_clock: Dict[Tuple[Hashable, Hashable], int] = {}
+        # Per sender: recipient -> the link's latest assigned delivery
+        # instant (its FIFO high-water mark).
+        self._link_clock: Dict[Hashable, Dict[Hashable, int]] = {}
 
     @abstractmethod
     def delay(self, send: SendEvent, recipient: Hashable) -> int:
         """Raw latency (ticks ≥ 1) for delivering ``send`` to ``recipient``."""
 
-    def schedule(self, send: SendEvent) -> Dict[Hashable, int]:
-        """Delivery instant per recipient, with all constraints applied."""
-        times: Dict[Hashable, int] = {}
-        for recipient in send.recipients:
-            d = self.delay(send, recipient)
-            if d < 1:
+    def schedule(self, send: SendEvent) -> List[int]:
+        """Delivery instants aligned with ``send.recipients``, with all
+        constraints applied.
+
+        :meth:`delay` is drawn once per recipient in canonical order (so
+        any randomness it consumes stays replayable); the ``≥ 1`` and
+        declared-bound checks then run once per send, and only a failing
+        send pays for locating the recipient it names.
+        """
+        recipients = send.recipients
+        if not recipients:
+            return []
+        delay = self.delay
+        delays = [delay(send, recipient) for recipient in recipients]
+        if min(delays) < 1:
+            i = next(i for i, d in enumerate(delays) if d < 1)
+            raise SchedulingError(
+                f"{self.name}: delay {delays[i]} < 1 for "
+                f"{send.sender!r} -> {recipients[i]!r}"
+            )
+        if self.bounded:
+            bound = self.worst_case_delay or 0
+            if max(delays) > bound:
+                i = next(i for i, d in enumerate(delays) if d > bound)
                 raise SchedulingError(
-                    f"{self.name}: delay {d} < 1 for "
-                    f"{send.sender!r} -> {recipient!r}"
-                )
-            if self.bounded and d > (self.worst_case_delay or 0):
-                raise SchedulingError(
-                    f"{self.name}: delay {d} exceeds the declared "
+                    f"{self.name}: delay {delays[i]} exceeds the declared "
                     f"worst-case bound {self.worst_case_delay} for "
-                    f"{send.sender!r} -> {recipient!r}"
+                    f"{send.sender!r} -> {recipients[i]!r}"
                 )
-            self.metrics.observe("sched.delay", d)
-            when = send.time + d
-            # FIFO per directed link: never undercut the link's latest
-            # assigned delivery (ties keep send order via event seq).
-            when = max(when, self._link_clock.get((send.sender, recipient), 0))
-            times[recipient] = when
-        if self.atomic_broadcast and send.is_broadcast and times:
-            shared = max(times.values())
-            # repro: allow[REPRO001] rebuilds `times` preserving its own
-            # deterministic (repr-sorted recipient) insertion order.
-            times = {recipient: shared for recipient in times}
-        # repro: allow[REPRO001] per-key _link_clock writes — commutative
-        # across recipients, so iteration order is immaterial.
-        for recipient, when in times.items():
-            self._link_clock[(send.sender, recipient)] = when
+        metrics = self.metrics
+        if metrics.enabled:
+            for d in delays:
+                metrics.observe("sched.delay", d)
+        now = send.time
+        clock = self._link_clock.get(send.sender)
+        if clock is None:
+            clock = self._link_clock[send.sender] = {}
+        # FIFO per directed link: never undercut the link's latest
+        # assigned delivery (ties keep send order in the tick bucket).
+        high_water = clock.get
+        times = []
+        for recipient, d in zip(recipients, delays):
+            when = now + d
+            floor = high_water(recipient, 0)
+            times.append(when if when >= floor else floor)
+        if self.atomic_broadcast and send.is_broadcast:
+            times = [max(times)] * len(times)
+        clock.update(zip(recipients, times))
         return times
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -137,19 +154,21 @@ class Scheduler(ABC):
 
 
 class EventDrivenNetwork(NetworkEngine):
-    """Run per-node protocols on an event queue with scheduled timing.
+    """Run per-node protocols on a calendar of ticks with scheduled timing.
 
     Shares :class:`~repro.net.simulator.NetworkEngine`'s public surface
     (``step``/``run``/``run_until_decided``/``outputs``/``trace``) with
     :class:`~repro.net.simulator.SynchronousNetwork`, so every existing
     protocol, adversary and runner works unchanged.  Each tick of
     virtual time activates every node once (in sorted order) with the
-    inbox of everything delivered up to that tick; sends are
-    timestamped by the scheduler and enqueued as
-    :class:`DeliveryEvent`\\ s.  Under the lockstep scheduler this is
-    provably the synchronous simulator — byte-identical traces — while
-    asynchronous schedulers stretch and reorder deliveries within the
-    FIFO/atomicity envelope.
+    inbox of everything delivered at that tick; sends are timestamped by
+    the scheduler and appended, in send order, to the bucket of the tick
+    they land on.  A send whose recipients share one instant (lockstep,
+    atomic broadcasts) is one bucket entry carrying its recipient tuple;
+    otherwise each recipient gets its own entry.  Under the lockstep
+    scheduler this is provably the synchronous simulator — byte-identical
+    traces — while asynchronous schedulers stretch and reorder
+    deliveries within the FIFO/atomicity envelope.
     """
 
     def __init__(
@@ -165,32 +184,51 @@ class EventDrivenNetwork(NetworkEngine):
         scheduler.bind(graph, self.channel)
         scheduler.metrics = self.metrics
         # round_no doubles as the virtual tick of the latest activation.
-        self._events: List[Tuple[int, int, DeliveryEvent]] = []
-        self._arrived: Dict[Hashable, Inbox] = {v: [] for v in self._order}
+        # Tick -> entries (sender, message, recipients, index of the
+        # first recipient's Delivery record), in send order.
+        self._calendar: Dict[
+            int, List[Tuple[Hashable, object, Tuple[Hashable, ...], int]]
+        ] = {}
+        self._in_flight = 0
         self._send_seq = 0
-        self._event_seq = 0
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        """Advance virtual time one tick and activate every node."""
+        """Advance virtual time one tick and activate every node.
+
+        As in :meth:`SynchronousNetwork.step`, the per-message loops use
+        hoisted locals, positional record construction and direct
+        appends to the trace lists.
+        """
         self.round_no += 1
         now = self.round_no
-        # Drain every delivery due by `now` into the recipients' inboxes
-        # in (time, seq) order — the arrival order protocols observe.
-        # The last event drained per recipient is that activation's
-        # primary happened-before cause.
+        order = self._order
+        graph, channel, metrics = self.graph, self.channel, self.metrics
+        protocols = self.protocols
+        trace = self.trace
+        transmissions = trace.transmissions
+        deliveries = trace.deliveries
+        # Drain tick `now`'s bucket into the recipients' inboxes in send
+        # order — the arrival order protocols observe.  The last
+        # delivery drained per recipient is that activation's primary
+        # happened-before cause.
+        inboxes: Dict[Hashable, Inbox] = {v: [] for v in order}
         cause_now: Dict[Hashable, int] = {}
-        while self._events and self._events[0][0] <= now:
-            _, _, event = heapq.heappop(self._events)
-            self._arrived[event.recipient].append((event.sender, event.message))
-            cause_now[event.recipient] = event.index
-        inboxes, self._arrived = self._arrived, {v: [] for v in self._order}
-        delivered = sum(len(inboxes[v]) for v in self._order)
-        sent_before = len(self.trace.transmissions)
-        decisions = self.trace.decisions
+        delivered = 0
+        for sender, message, recipients, index in self._calendar.pop(now, ()):
+            arrival = (sender, message)
+            for recipient in recipients:
+                inboxes[recipient].append(arrival)
+                cause_now[recipient] = index
+                index += 1
+            delivered += len(recipients)
+        self._in_flight -= delivered
+        sent_before = len(transmissions)
+        decisions = trace.decisions
         undecided = self._undecided
-        outboxes: list[tuple[Hashable, Context]] = []
-        for node in self._order:
+        outboxes: list[tuple[Hashable, list, Optional[str], Optional[int]]] = []
+        for node in order:
+            outbox: list = []
             ci = cause_now.get(node)
             ck = (
                 CAUSE_DELIVERY
@@ -198,105 +236,76 @@ class EventDrivenNetwork(NetworkEngine):
                 else (CAUSE_INPUT if now == 1 else CAUSE_TIMER)
             )
             ctx = Context(
-                node=node,
-                graph=self.graph,
-                round_no=now,
-                channel=self.channel,
-                inbox=inboxes[node],
-                now=now,
-                metrics=self.metrics,
-                cause_kind=ck,
-                cause_index=ci,
+                node, graph, now, channel, inboxes[node], outbox,
+                now, metrics, ck, ci,
             )
-            self.protocols[node].on_round(ctx)
+            protocols[node].on_round(ctx)
             if node in undecided:
-                value = self.protocols[node].output()
+                value = protocols[node].output()
                 if value is not None:
                     undecided.discard(node)
                     decisions.append(Decision(node, value, now, ck, ci))
-            outboxes.append((node, ctx))
-        for node, ctx in outboxes:
-            for out in ctx.outbox:
-                recipients = self._resolve_recipients(node, out.target)
-                self._dispatch(
-                    node, out.message, out.target, recipients, now,
-                    ctx.cause_kind, ctx.cause_index,
+            outboxes.append((node, outbox, ck, ci))
+        schedule = self.scheduler.schedule
+        calendar = self._calendar
+        sorted_neighbors = graph.sorted_neighbors
+        send_seq = self._send_seq
+        queued = 0
+        for node, outbox, ck, ci in outboxes:
+            if not outbox:
+                continue
+            nbrs = sorted_neighbors(node)
+            for out in outbox:
+                message = out.message
+                target = out.target
+                recipients = (
+                    nbrs
+                    if target is None
+                    else self._resolve_recipients(node, target)
                 )
-        if self.trace.rounds < self.round_no:
-            self.trace.rounds = self.round_no
-        self._observe_tick(delivered, len(self.trace.transmissions) - sent_before)
-
-    def _dispatch(
-        self,
-        node: Hashable,
-        message: object,
-        target: Optional[Hashable],
-        recipients: Tuple[Hashable, ...],
-        now: int,
-        cause_kind: Optional[str] = None,
-        cause_index: Optional[int] = None,
-    ) -> None:
-        """Timestamp one send via the scheduler and enqueue deliveries."""
-        send = SendEvent(
-            seq=self._send_seq,
-            time=now,
-            sender=node,
-            message=message,
-            target=target,
-            recipients=recipients,
-        )
-        self._send_seq += 1
-        times = self.scheduler.schedule(send)
-        send_index = len(self.trace.transmissions)
-        self.trace.record(
-            Transmission(
-                round_no=now,
-                sender=node,
-                message=message,
-                target=target,
-                recipients=recipients,
-                sent_at=now,
-                cause_kind=cause_kind,
-                cause_index=cause_index,
-            )
-        )
-        for recipient in recipients:
-            when = times[recipient]
-            if when <= now:
-                raise SchedulingError(
-                    f"{self.scheduler.name}: delivery at {when} not after "
-                    f"send at {now} ({node!r} -> {recipient!r})"
+                times = schedule(
+                    SendEvent(send_seq, now, node, message, target, recipients)
                 )
-            delivery_index = len(self.trace.deliveries)
-            self.trace.record_delivery(
-                Delivery(
-                    send_index=send_index,
-                    sender=node,
-                    recipient=recipient,
-                    message=message,
-                    sent_at=now,
-                    delivered_at=when,
+                send_seq += 1
+                send_index = len(transmissions)
+                transmissions.append(
+                    Transmission(
+                        now, node, message, target, recipients, now, ck, ci
+                    )
                 )
-            )
-            heapq.heappush(
-                self._events,
-                (
-                    when,
-                    self._event_seq,
-                    DeliveryEvent(
-                        time=when,
-                        seq=self._event_seq,
-                        sender=node,
-                        recipient=recipient,
-                        message=message,
-                        sent_at=now,
-                        index=delivery_index,
-                    ),
-                ),
-            )
-            self._event_seq += 1
+                if not recipients:
+                    continue
+                if min(times) <= now:
+                    i = next(i for i, when in enumerate(times) if when <= now)
+                    raise SchedulingError(
+                        f"{self.scheduler.name}: delivery at {times[i]} not "
+                        f"after send at {now} ({node!r} -> {recipients[i]!r})"
+                    )
+                index = len(deliveries)
+                for recipient, when in zip(recipients, times):
+                    deliveries.append(
+                        Delivery(send_index, node, recipient, message, now, when)
+                    )
+                when = times[0]
+                if times.count(when) == len(times):
+                    calendar.setdefault(when, []).append(
+                        (node, message, recipients, index)
+                    )
+                else:
+                    for recipient, when in zip(recipients, times):
+                        calendar.setdefault(when, []).append(
+                            (node, message, (recipient,), index)
+                        )
+                        index += 1
+                queued += len(recipients)
+        self._send_seq = send_seq
+        self._in_flight += queued
+        if trace.rounds < now:
+            trace.rounds = now
+        self._observe_tick(delivered, len(transmissions) - sent_before)
 
     @property
     def in_flight(self) -> int:
-        """Deliveries enqueued but not yet drained (for diagnostics)."""
-        return len(self._events)
+        """Deliveries scheduled but not yet drained (maintained by
+        :meth:`step`, so the runner's stall check costs no re-count)."""
+        return self._in_flight

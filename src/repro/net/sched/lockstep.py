@@ -2,9 +2,10 @@
 
 Every delivery takes exactly one tick, and broadcasts are atomic — the
 event-driven core then *is* the synchronous simulator of Section 3: a
-message sent in round ``r`` lands in every recipient's round ``r + 1``
-inbox, in the same order :class:`~repro.net.simulator.SynchronousNetwork`
-produces.  The equivalence is property-tested trace-for-trace across all
+message sent in round ``r`` joins tick ``r + 1``'s bucket as one entry
+per send, and draining that bucket in send order fills every recipient's
+round ``r + 1`` inbox in the same order
+:class:`~repro.net.simulator.SynchronousNetwork` produces.  The equivalence is property-tested trace-for-trace across all
 protocol factories (``tests/net/sched/test_lockstep_equivalence.py``),
 which is what licenses running every existing protocol unchanged on the
 new core.

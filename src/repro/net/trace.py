@@ -139,32 +139,6 @@ class Trace:
         self.decisions.append(d)
 
     # ------------------------------------------------------------------
-    # Happened-before joins
-    # ------------------------------------------------------------------
-    def transmission_of(self, delivery: Delivery) -> Transmission:
-        """The send a delivery descends from (stable ``send_index`` join)."""
-        return self.transmissions[delivery.send_index]
-
-    def deliveries_of(self, send_index: int) -> list[Delivery]:
-        """Every per-recipient delivery of one transmission, in order."""
-        return [d for d in self.deliveries if d.send_index == send_index]
-
-    def causes_of(self, transmission: Transmission) -> list[Delivery]:
-        """The full happened-before parent set of one send: every
-        delivery that landed in the inbox of the activation that emitted
-        it (``recipient == sender`` and ``delivered_at == sent_at``).
-        The recorded ``cause_index`` is always the last element (the
-        primary cause) when this list is non-empty."""
-        if transmission.sent_at is None:
-            return []
-        return [
-            d
-            for d in self.deliveries
-            if d.recipient == transmission.sender
-            and d.delivered_at == transmission.sent_at
-        ]
-
-    # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     @property
@@ -181,26 +155,12 @@ class Trace:
         """All transmissions made by ``node``, in order."""
         return [t for t in self.transmissions if t.sender == node]
 
-    def broadcasts_by(self, node: Hashable) -> list[Transmission]:
-        """Broadcast transmissions by ``node`` (excludes unicasts)."""
-        return [t for t in self.transmissions if t.sender == node and t.target is None]
-
     def received_by(self, node: Hashable) -> list[Transmission]:
         """All transmissions delivered to ``node``, in order."""
         return [t for t in self.transmissions if node in t.recipients]
 
     def per_round(self, round_no: int) -> list[Transmission]:
         return [t for t in self.transmissions if t.round_no == round_no]
-
-    def deliveries_on_link(
-        self, sender: Hashable, recipient: Hashable
-    ) -> list[Delivery]:
-        """All deliveries over one directed link, in send (FIFO) order."""
-        return [
-            d
-            for d in self.deliveries
-            if d.sender == sender and d.recipient == recipient
-        ]
 
     @property
     def max_latency(self) -> int:

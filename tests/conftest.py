@@ -14,6 +14,12 @@ from repro.graphs import (
 )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running case (larger graphs or sweeps)"
+    )
+
+
 @pytest.fixture
 def c4() -> Graph:
     """The 4-cycle: the smallest 2f-connected graph for f = 1."""

@@ -21,7 +21,9 @@ from repro.net import (
     SchedulerSpec,
     SchedulingError,
     SeededAsyncScheduler,
+    SynchronousNetwork,
     TamperForwardAdversary,
+    point_to_point_model,
 )
 from repro.net.sched import parse_scheduler
 
@@ -218,6 +220,88 @@ class TestSchedulerErrors:
         g = cycle_graph(4)
         with pytest.raises(SchedulingError):
             run_network(g, Cheater(), rounds=2)
+
+    def test_delay_above_declared_bound_is_rejected(self):
+        class Overshoot(SeededAsyncScheduler):
+            def delay(self, send, recipient):
+                return self.max_delay + 1
+
+        with pytest.raises(SchedulingError, match="worst-case bound 2"):
+            run_network(cycle_graph(4), Overshoot(seed=0, max_delay=2), rounds=2)
+
+    def test_undeclared_bound_admits_long_delays(self):
+        class Slow(SeededAsyncScheduler):
+            def delay(self, send, recipient):
+                return self.max_delay + 5
+
+        net = run_network(
+            cycle_graph(4), Slow(seed=0, max_delay=2, declare_bound=False)
+        )
+        assert net.trace.max_latency == 7
+
+    def test_zero_delay_on_last_recipient_is_rejected_and_named(self):
+        """Validation is batched per send, so a bad delay anywhere in the
+        recipient tuple — not just the first — must still be caught, and
+        the error must name the recipient it belongs to."""
+
+        class LastZero(LockstepScheduler):
+            def delay(self, send, recipient):
+                return 0 if recipient == send.recipients[-1] else 1
+
+        g = complete_graph(4)  # node 0 broadcasts first, to (1, 2, 3)
+        with pytest.raises(SchedulingError, match=r"delay 0 < 1 for 0 -> 3$"):
+            run_network(g, LastZero(), rounds=2)
+
+
+class Chatter(Protocol):
+    """Broadcasts on ticks 1-4, unicasts to its last neighbor on odd
+    ones among them (under point-to-point channels), then falls silent."""
+
+    def __init__(self, node, graph):
+        self.peer = graph.sorted_neighbors(node)[-1]
+
+    def on_round(self, ctx):
+        if ctx.round_no <= 4:
+            ctx.broadcast(("b", ctx.round_no))
+            if ctx.round_no % 2:
+                ctx.send(self.peer, ("u", ctx.round_no))
+
+    def output(self):
+        return None
+
+
+ENGINES = {
+    "sync": lambda g, p, c: SynchronousNetwork(g, p, c),
+    "lockstep": lambda g, p, c: EventDrivenNetwork(g, p, LockstepScheduler(), c),
+    "seeded-async": lambda g, p, c: EventDrivenNetwork(
+        g, p, SeededAsyncScheduler(seed=4, max_delay=3), c
+    ),
+    "adversarial": lambda g, p, c: EventDrivenNetwork(
+        g, p, AdversarialScheduler(max_delay=3), c
+    ),
+}
+
+
+class TestInFlight:
+    """``in_flight`` is a maintained counter, not a re-count; the
+    runner's stall detection (``net.in_flight == 0``) trusts it."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_counts_exactly_the_undelivered(self, engine):
+        g = paper_figure_1a()
+        protocols = {v: Chatter(v, g) for v in g.nodes}
+        net = ENGINES[engine](g, protocols, point_to_point_model())
+        assert net.in_flight == 0
+        peak = 0
+        for _ in range(10):
+            net.step()
+            pending = sum(
+                1 for d in net.trace.deliveries if d.delivered_at > net.round_no
+            )
+            assert net.in_flight == pending
+            peak = max(peak, pending)
+        assert peak > 0
+        assert net.in_flight == 0  # silent since tick 4, delays ≤ 3
 
 
 class TestSchedulerSpec:
