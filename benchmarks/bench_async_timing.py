@@ -4,9 +4,8 @@ Three claims from the scheduling subsystem, printed as tables and
 asserted in shape (wall-clock claims stay unasserted — determinism and
 outcome claims hold on any hardware):
 
-* the event-driven core under the lockstep scheduler reproduces the
-  synchronous engine record-for-record inside a sweep, at a bounded
-  constant-factor overhead (printed, not asserted);
+* ``sync`` and ``lockstep`` are two labels for the same unit-delay
+  timing: their sweep records agree record-for-record;
 * the timing axis is a genuine scenario unlock: seeded per-link delays
   break Algorithm 2's fixed-phase synchrony assumption on C4 (some runs
   lose consensus) while Algorithm 1 on C5 rides out the same jitter —
@@ -34,14 +33,7 @@ from _tables import print_table
 from repro.analysis import consensus_sweep
 from repro.consensus import algorithm1_factory, algorithm2_factory
 from repro.graphs import cycle_graph, paper_figure_1a
-from repro.net import (
-    EventDrivenNetwork,
-    LockstepScheduler,
-    Protocol,
-    SchedulerSpec,
-    SynchronousNetwork,
-    TamperForwardAdversary,
-)
+from repro.net import SchedulerSpec, TamperForwardAdversary
 
 MAX_DELAY = 3
 
@@ -102,7 +94,7 @@ def test_timing_axis_unlocks_asynchrony_failures(benchmark):
         rows,
     )
     for subject, _, _ in SUBJECTS:
-        # Lockstep on the event core == the synchronous engine.
+        # The lockstep spec and the runner's ``None`` default agree.
         assert stripped(reports[(subject, "lockstep")]) == stripped(
             reports[(subject, "sync")]
         )
@@ -144,65 +136,7 @@ def test_async_reports_are_seed_deterministic(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# 2. Event-core overhead vs the synchronous engine
-# ---------------------------------------------------------------------------
-
-
-class Flood(Protocol):
-    """Broadcast-heavy load: every round, re-broadcast everything heard."""
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def on_round(self, ctx):
-        if ctx.round_no == 1:
-            ctx.broadcast((self.tag, 0))
-        for sender, message in ctx.inbox[:8]:
-            ctx.broadcast((self.tag, sender, message))
-
-    def output(self):
-        return None
-
-
-def overhead_rows():
-    graph = cycle_graph(8)
-    rounds = 6
-    start = time.perf_counter()
-    sync = SynchronousNetwork(graph, {v: Flood(v) for v in graph.nodes})
-    sync.run(rounds)
-    mid = time.perf_counter()
-    event = EventDrivenNetwork(
-        graph, {v: Flood(v) for v in graph.nodes}, LockstepScheduler()
-    )
-    event.run(rounds)
-    end = time.perf_counter()
-    identical = (
-        sync.trace.transmissions == event.trace.transmissions
-        and sync.trace.deliveries == event.trace.deliveries
-    )
-    return [(
-        sync.trace.transmission_count,
-        sync.trace.delivery_count,
-        f"{mid - start:.3f}s",
-        f"{end - mid:.3f}s",
-        f"{(end - mid) / max(mid - start, 1e-9):.2f}x",
-        identical,
-    )]
-
-
-def test_event_core_overhead_bounded(benchmark):
-    rows = benchmark.pedantic(overhead_rows, rounds=1, iterations=1)
-    print_table(
-        "broadcast-heavy C8 run: SynchronousNetwork vs event core (lockstep)",
-        ["transmissions", "deliveries", "sync", "event core", "overhead",
-         "identical trace"],
-        rows,
-    )
-    assert rows[0][-1]  # byte-identical traces on the hot path
-
-
-# ---------------------------------------------------------------------------
-# 3. Delivery-latency profile per scheduler
+# 2. Delivery-latency profile per scheduler
 # ---------------------------------------------------------------------------
 
 
@@ -212,7 +146,7 @@ def latency_rows():
     rows = []
     from repro.consensus import run_consensus
 
-    for name, spec in AXIS[1:]:  # event-core schedulers only
+    for name, spec in AXIS[1:]:  # one row per scheduler kind
         result = run_consensus(
             graph,
             algorithm1_factory(graph, 1),

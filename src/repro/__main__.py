@@ -18,9 +18,9 @@ Graph specs: ``cycle:N``, ``complete:N``, ``path:N``, ``wheel:N``,
 Directed specs (true digraphs — every command accepts them):
 ``random_digraph:N:P[:SEED]`` and ``oneway:N[:K]``.
 
-Schedulers (``run``/``sweep`` ``--scheduler``): ``sync`` (the default
-synchronous simulator), ``lockstep`` (event-driven core, trace-identical
-to ``sync``), ``seeded-async`` (seeded random per-link delays),
+Schedulers (``run``/``sweep`` ``--scheduler``): ``sync`` (the default:
+synchronous rounds), ``lockstep`` (the same unit-delay timing under its
+own label), ``seeded-async`` (seeded random per-link delays),
 ``adversarial`` (worst-case cut-straddling timing).  ``sweep`` accepts a
 comma-separated list to multiply the work-list by a timing axis.
 
@@ -146,7 +146,7 @@ def parse_scheduler_axis(
     """Parse a comma-separated ``--scheduler`` list into a sweep axis.
 
     Malformed lists fail loudly: an empty token (``sync,`` / ``,,sync``)
-    would silently duplicate the synchronous fast path, and a repeated
+    would silently duplicate the ``sync`` entry, and a repeated
     kind would silently double a slice of the work-list — both would
     skew every aggregate the report prints, so both are errors.
 

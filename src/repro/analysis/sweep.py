@@ -50,10 +50,12 @@ from ..net.sched import SchedulerSpec
 from ..graphs import Graph
 from ..obs import Stopwatch, merge_snapshots
 
-#: A scheduler-axis entry: ``None`` is the synchronous fast path.
+#: A scheduler-axis entry: ``None`` is synchronous (lockstep) timing.
 SchedulerAxisEntry = Optional[SchedulerSpec]
 
-#: Record label for the ``None`` (SynchronousNetwork) axis entry.
+#: Record label for the ``None`` axis entry.  It runs the lockstep
+#: scheduler; the label predates that and is kept so reports stay
+#: byte-identical.
 _SYNC_NAME = "sync"
 
 
@@ -455,8 +457,8 @@ def consensus_sweep(
     canonical slots — the returned report is record-for-record identical
     to the serial one.
 
-    ``schedulers`` is the timing axis: each entry is ``None`` (the
-    synchronous fast path) or a :class:`~repro.net.sched.SchedulerSpec`;
+    ``schedulers`` is the timing axis: each entry is ``None``
+    (synchronous rounds) or a :class:`~repro.net.sched.SchedulerSpec`;
     every ``(faulty, adversary, pattern)`` scenario runs once per entry.
     Defaults to ``(None,)`` — existing sweeps are unchanged.
 

@@ -16,8 +16,7 @@ from ..graphs import Graph
 from ..net.adversary import Adversary, FaultSpec, HonestFactory
 from ..net.channels import ChannelModel, local_broadcast_model
 from ..net.node import Protocol
-from ..net.sched import EventDrivenNetwork, SchedulerSpec
-from ..net.simulator import SimulationError, SynchronousNetwork
+from ..net.sched import EventDrivenNetwork, SchedulerSpec, SimulationError
 from ..net.trace import Trace
 from ..obs import (
     FlightRecord,
@@ -40,6 +39,10 @@ OUTCOME_STALLED = "stalled"
 #: Quiescence detection usually stops such runs long before the cap.
 _UNBOUNDED_BUDGET_SLACK = 8
 
+#: The timing ``scheduler=None`` runs under: the synchronous rounds of
+#: Section 3.
+_SYNC_TIMING = SchedulerSpec("lockstep")
+
 
 @dataclass(frozen=True)
 class ConsensusResult:
@@ -58,7 +61,7 @@ class ConsensusResult:
     #: still undecided — a genuine non-termination, not clock exhaustion.
     stalled: bool = False
     #: Canonical metrics snapshot when the run was metered (content
-    #: data: virtual time only, byte-identical across engines/workers).
+    #: data: virtual time only, byte-identical across workers).
     metrics: Optional[dict] = None
     #: QUARANTINED wall-clock timings when metered.  Never compare these
     #: for determinism — strip via :func:`repro.obs.strip_timings`.
@@ -155,12 +158,13 @@ def run_consensus(
     protocol in this library precomputes its round count — the paper's
     algorithms are all fixed-round).
 
-    ``scheduler`` selects the timing model: ``None`` runs the classic
-    synchronous simulator; a :class:`~repro.net.sched.SchedulerSpec`
-    runs the event-driven core with a fresh scheduler built for this
-    run.  The lockstep spec is trace-equivalent to ``None``; the
-    asynchronous specs deliberately stress the fixed-round protocols
-    outside their synchrony assumption.
+    ``scheduler`` selects the timing model as a
+    :class:`~repro.net.sched.SchedulerSpec`; the engine gets a fresh
+    scheduler built from it for this run.  ``None`` means synchronous
+    rounds: the lockstep spec, recorded as ``None`` in the flight
+    header (and labelled ``"sync"`` by sweeps).  The asynchronous specs
+    deliberately stress the fixed-round protocols outside their
+    synchrony assumption.
 
     ``metrics`` meters the run: ``True`` builds a fresh
     :class:`~repro.obs.MetricsRegistry`; passing a registry (e.g. one
@@ -219,6 +223,7 @@ def run_consensus(
         for v in sorted(honest, key=repr)
     )
 
+    timing = scheduler if scheduler is not None else _SYNC_TIMING
     if max_rounds is None:
         known = []
         for v in sorted(honest, key=repr):
@@ -233,30 +238,26 @@ def run_consensus(
                     # check below, not the cap, is the real terminator.
                     hint = getattr(protocols[v], "budget_hint", None)
                     if isinstance(hint, int):
-                        if scheduler is None:
-                            known.append(hint)
-                        elif scheduler.bounded:
-                            known.append(scheduler.horizon(hint))
+                        if timing.bounded:
+                            known.append(timing.horizon(hint))
                         else:
                             known.append(hint * _UNBOUNDED_BUDGET_SLACK)
                 continue
-            if scheduler is not None and not getattr(
-                protocols[v], "budget_in_ticks", False
-            ):
+            if not getattr(protocols[v], "budget_in_ticks", False):
                 # The protocol's own budget counts synchronous *rounds*;
-                # the event core counts virtual *ticks*.  Under delays up
+                # the engine counts virtual *ticks*.  Under delays up
                 # to d, round r's messages need not land before tick r·d,
                 # so capping ticks at the round budget would abort
                 # slow-but-correct runs and report clock exhaustion as a
                 # consensus failure.  Scale by the declared delay bound.
                 # (Protocols that declare ``budget_in_ticks`` — the
                 # α-synchronizer wrapper — already account for delays.)
-                if not scheduler.bounded:
+                if not timing.bounded:
                     raise ValueError(
                         "max_rounds required: scheduler "
-                        f"{scheduler.name!r} declares no delay bound"
+                        f"{timing.name!r} declares no delay bound"
                     )
-                budget = scheduler.horizon(budget)
+                budget = timing.horizon(budget)
             known.append(budget)
         if not known:
             raise ValueError("max_rounds required: protocols expose no budget")
@@ -269,12 +270,9 @@ def run_consensus(
     else:
         registry = None
 
-    if scheduler is None:
-        net = SynchronousNetwork(graph, protocols, channel, metrics=registry)
-    else:
-        net = EventDrivenNetwork(
-            graph, protocols, scheduler.build(graph), channel, metrics=registry
-        )
+    net = EventDrivenNetwork(
+        graph, protocols, timing.build(graph), channel, metrics=registry
+    )
     stalled = False
     timer = WallTimings()
     with timer.time("run"):

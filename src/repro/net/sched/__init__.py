@@ -1,15 +1,14 @@
-"""Event-driven scheduling subsystem: pluggable message timing.
+"""The network engine and its pluggable message timing.
 
-The synchronous simulator fixes *when* messages arrive (next round);
-this subpackage makes timing a pluggable policy on an event-driven
-core, extending the reproduction toward the authors' asynchronous
-follow-up paper (arXiv:1909.02865):
+One engine runs every experiment; a scheduler decides *when* each
+message arrives, extending the synchronous model of the paper toward
+the authors' asynchronous follow-up (arXiv:1909.02865):
 
-* :class:`EventDrivenNetwork` — the core: protocols unchanged, every
+* :class:`EventDrivenNetwork` — the engine: protocols unchanged, every
   delivery given a virtual timestamp by a :class:`Scheduler` and held
   in per-tick buckets until that tick;
-* :class:`LockstepScheduler` — unit delays; provably trace-equivalent
-  to :class:`~repro.net.simulator.SynchronousNetwork`;
+* :class:`LockstepScheduler` — unit delays: the synchronous rounds of
+  Section 3 (the consensus runner's default, reported as ``"sync"``);
 * :class:`SeededAsyncScheduler` — reproducible random per-link delays
   behind an explicit seed;
 * :class:`AdversarialScheduler` — a worst-case timing adversary that
@@ -20,8 +19,7 @@ follow-up paper (arXiv:1909.02865):
 """
 
 from .adversarial import AdversarialScheduler
-from .base import EventDrivenNetwork, Scheduler, SchedulingError
-from .events import SendEvent
+from .base import EventDrivenNetwork, Scheduler, SchedulingError, SimulationError
 from .lockstep import LockstepScheduler
 from .seeded import SeededAsyncScheduler
 from .specs import SCHEDULER_KINDS, SchedulerSpec, parse_scheduler
@@ -35,6 +33,6 @@ __all__ = [
     "SchedulerSpec",
     "SchedulingError",
     "SeededAsyncScheduler",
-    "SendEvent",
+    "SimulationError",
     "parse_scheduler",
 ]

@@ -44,12 +44,12 @@ inside its soundness envelope (``W ≤ max_delay`` is enforced).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional
 
 from ...graphs import Graph, GraphError, minimum_vertex_cut
 from ..channels import ChannelModel
+from ..trace import Transmission
 from .base import Scheduler
-from .events import SendEvent
 
 #: Side label for cut nodes (and anything else straddling the bottleneck).
 _BOUNDARY = -1
@@ -95,7 +95,7 @@ class AdversarialScheduler(Scheduler):
             # the side labels keeps them distinct across components; the
             # cross-component pairs that end up "on different sides" name
             # deliveries no link can carry, so only the intra-component
-            # structure ever reaches ``delay``.
+            # structure ever reaches ``delays``.
             offset = 0
             for component in sorted(
                 graph.connected_components(),
@@ -137,15 +137,19 @@ class AdversarialScheduler(Scheduler):
                 side[v] = index
         return side
 
-    def delay(self, send: SendEvent, recipient: Hashable) -> int:
-        a = self._side.get(send.sender, _BOUNDARY)
-        b = self._side.get(recipient, _BOUNDARY)
-        if not (a == _BOUNDARY or b == _BOUNDARY or a != b):
-            return 1
+    def delays(self, send: Transmission) -> List[int]:
+        side = self._side
+        a = side.get(send.sender, _BOUNDARY)
         if self.window:
             # Land exactly on the next α-schedule activation tick
-            # (r−1)·W + 1: the smallest d ≥ 1 with send.time + d ≡ 1
+            # (r−1)·W + 1: the smallest d ≥ 1 with send.sent_at + d ≡ 1
             # (mod W).  d ≤ W ≤ max_delay, so the declared bound holds.
-            d = (1 - send.time) % self.window
-            return d if d else self.window
-        return self.max_delay
+            stretched = (1 - send.sent_at) % self.window or self.window
+        else:
+            stretched = self.max_delay
+        return [
+            1
+            if a != _BOUNDARY and side.get(recipient, _BOUNDARY) == a
+            else stretched
+            for recipient in send.recipients
+        ]

@@ -1,16 +1,19 @@
-"""The pluggable :class:`Scheduler` API and the event-driven core.
+"""The network engine and the pluggable :class:`Scheduler` API.
 
 The paper's synchronous model (Section 3) is one point in a space of
 timing assumptions; the authors' follow-up work ("Asynchronous Byzantine
 Consensus on Undirected Graphs under Local Broadcast Model",
 arXiv:1909.02865) shows the local-broadcast story survives asynchrony.
-This module makes message *timing* a first-class, pluggable axis:
+This module makes message *timing* a first-class, pluggable axis of one
+engine:
 
-* :class:`EventDrivenNetwork` runs the same per-node
-  :class:`~repro.net.node.Protocol` state machines as
-  :class:`~repro.net.simulator.SynchronousNetwork`, but every delivery
-  is an event with a virtual timestamp drawn from a :class:`Scheduler`;
-* a :class:`Scheduler` assigns each (transmission, recipient) pair a
+* :class:`EventDrivenNetwork` runs per-node
+  :class:`~repro.net.node.Protocol` state machines on a calendar of
+  virtual ticks; every delivery gets a timestamp drawn from a
+  :class:`Scheduler`.  Under the
+  :class:`~repro.net.sched.LockstepScheduler` (unit delays) it *is* the
+  synchronous round simulator of Section 3;
+* a :class:`Scheduler` assigns each recipient of a transmission a
   delivery instant.  Subclasses only choose *delays*; the base class
   enforces the physics every timing model shares:
 
@@ -24,7 +27,10 @@ This module makes message *timing* a first-class, pluggable axis:
     all recipients of one broadcast receive it at the same instant, the
     timing analogue of "received identically by each of its neighbors".
 
-Determinism contract: the core activates nodes in repr-sorted order,
+Virtual time is integral.  Activations happen at ticks 1, 2, 3, …; the
+synchronous model's "next round" rule is the ``delay = 1`` case.
+
+Determinism contract: the engine activates nodes in repr-sorted order,
 keeps pending deliveries in a calendar of per-tick buckets drained in
 send order, and hands schedulers their recipients in canonical order —
 so a run is a pure function of (graph, protocols, channel, scheduler),
@@ -34,22 +40,26 @@ independent of ``PYTHONHASHSEED`` and of any executor's process layout.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ...graphs import Graph
 from ...obs import NULL_METRICS, MetricsRegistry
-from ..channels import ChannelModel
+from ..channels import ChannelModel, local_broadcast_model
 from ..node import Context, Inbox, Protocol
-from ..simulator import NetworkEngine
 from ..trace import (
     CAUSE_DELIVERY,
     CAUSE_INPUT,
     CAUSE_TIMER,
     Decision,
     Delivery,
+    Trace,
     Transmission,
 )
-from .events import SendEvent
+
+
+class SimulationError(RuntimeError):
+    """Raised when a run cannot proceed (missing protocols, bad config)."""
 
 
 class SchedulingError(RuntimeError):
@@ -59,14 +69,15 @@ class SchedulingError(RuntimeError):
 class Scheduler(ABC):
     """Assigns virtual delivery timestamps to transmissions.
 
-    Subclasses implement :meth:`delay` — the raw per-recipient latency
-    (≥ 1 ticks) of one send — and may set :attr:`atomic_broadcast` to
-    force all recipients of a broadcast onto one shared instant.
-    :meth:`schedule` (final) applies the FIFO-per-link clamp and the
-    atomicity collapse, so no subclass can violate the model's physics.
+    Subclasses implement :meth:`delays` — the raw latencies (≥ 1 ticks)
+    of one send, one per recipient — and may set
+    :attr:`atomic_broadcast` to force all recipients of a broadcast onto
+    one shared instant.  :meth:`schedule` (final) validates the delays
+    and applies the FIFO-per-link clamp and the atomicity collapse, so
+    no subclass can violate the model's physics.
 
     Schedulers are single-run objects with per-run state (link clocks,
-    RNGs): the core calls :meth:`bind` once at network construction.
+    RNGs): the engine calls :meth:`bind` once at network construction.
     Build a fresh instance per run — or use a
     :class:`~repro.net.sched.SchedulerSpec`, which does so for you.
     """
@@ -94,25 +105,44 @@ class Scheduler(ABC):
         # Per sender: recipient -> the link's latest assigned delivery
         # instant (its FIFO high-water mark).
         self._link_clock: Dict[Hashable, Dict[Hashable, int]] = {}
+        # A declared bound of one tick admits no delay but 1, so every
+        # link clock stays at most one tick ahead of the current send.
+        self._unit_bound = self.bounded and self.worst_case_delay == 1
 
     @abstractmethod
-    def delay(self, send: SendEvent, recipient: Hashable) -> int:
-        """Raw latency (ticks ≥ 1) for delivering ``send`` to ``recipient``."""
+    def delays(self, send: Transmission) -> List[int]:
+        """Raw latencies (ticks ≥ 1) of ``send``, aligned with
+        ``send.recipients`` and drawn in that (canonical) order, so any
+        randomness they consume stays replayable."""
 
-    def schedule(self, send: SendEvent) -> List[int]:
+    def schedule(self, send: Transmission) -> List[int]:
         """Delivery instants aligned with ``send.recipients``, with all
         constraints applied.
 
-        :meth:`delay` is drawn once per recipient in canonical order (so
-        any randomness it consumes stays replayable); the ``≥ 1`` and
-        declared-bound checks then run once per send, and only a failing
-        send pays for locating the recipient it names.
+        The ``≥ 1`` and declared-bound checks run once per send, and
+        only a failing send pays for locating the recipient it names.
         """
         recipients = send.recipients
-        if not recipients:
+        n = len(recipients)
+        if not n:
             return []
-        delay = self.delay
-        delays = [delay(send, recipient) for recipient in recipients]
+        delays = self.delays(send)
+        if len(delays) != n:
+            raise SchedulingError(
+                f"{self.name}: {len(delays)} delays for the {n} "
+                f"recipients of a send by {send.sender!r}"
+            )
+        now = send.sent_at
+        metrics = self.metrics
+        if self._unit_bound and delays.count(1) == n:
+            # Every delay this scheduler ever produced is exactly 1 (any
+            # other value fails the bound check below), so every link
+            # clock is at most ``now + 1``: the FIFO clamp and the
+            # atomic collapse are identities, and the clocks are never
+            # read.
+            if metrics.enabled:
+                metrics.observe("sched.delay", 1, n)
+            return [now + 1] * n
         if min(delays) < 1:
             i = next(i for i, d in enumerate(delays) if d < 1)
             raise SchedulingError(
@@ -128,24 +158,24 @@ class Scheduler(ABC):
                     f"worst-case bound {self.worst_case_delay} for "
                     f"{send.sender!r} -> {recipients[i]!r}"
                 )
-        metrics = self.metrics
         if metrics.enabled:
             for d in delays:
                 metrics.observe("sched.delay", d)
-        now = send.time
         clock = self._link_clock.get(send.sender)
         if clock is None:
             clock = self._link_clock[send.sender] = {}
         # FIFO per directed link: never undercut the link's latest
         # assigned delivery (ties keep send order in the tick bucket).
+        if self.atomic_broadcast and send.target is None:
+            when = max(now + max(delays), max(map(clock.get, recipients, repeat(0))))
+            clock.update(dict.fromkeys(recipients, when))
+            return [when] * n
         high_water = clock.get
         times = []
         for recipient, d in zip(recipients, delays):
             when = now + d
             floor = high_water(recipient, 0)
             times.append(when if when >= floor else floor)
-        if self.atomic_broadcast and send.is_broadcast:
-            times = [max(times)] * len(times)
         clock.update(zip(recipients, times))
         return times
 
@@ -153,21 +183,17 @@ class Scheduler(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class EventDrivenNetwork(NetworkEngine):
+class EventDrivenNetwork:
     """Run per-node protocols on a calendar of ticks with scheduled timing.
 
-    Shares :class:`~repro.net.simulator.NetworkEngine`'s public surface
-    (``step``/``run``/``run_until_decided``/``outputs``/``trace``) with
-    :class:`~repro.net.simulator.SynchronousNetwork`, so every existing
-    protocol, adversary and runner works unchanged.  Each tick of
-    virtual time activates every node once (in sorted order) with the
-    inbox of everything delivered at that tick; sends are timestamped by
-    the scheduler and appended, in send order, to the bucket of the tick
-    they land on.  A send whose recipients share one instant (lockstep,
-    atomic broadcasts) is one bucket entry carrying its recipient tuple;
-    otherwise each recipient gets its own entry.  Under the lockstep
-    scheduler this is provably the synchronous simulator — byte-identical
-    traces — while asynchronous schedulers stretch and reorder
+    Each tick of virtual time activates every node once (in sorted
+    order) with the inbox of everything delivered at that tick; sends
+    are timestamped by the scheduler and appended, in send order, to the
+    bucket of the tick they land on.  A send whose recipients share one
+    instant (lockstep, atomic broadcasts) is one bucket entry carrying
+    its recipient tuple; otherwise each recipient gets its own entry.
+    Under the lockstep scheduler this is the synchronous round simulator
+    of Section 3, while asynchronous schedulers stretch and reorder
     deliveries within the FIFO/atomicity envelope.
     """
 
@@ -179,26 +205,68 @@ class EventDrivenNetwork(NetworkEngine):
         channel: Optional[ChannelModel] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        super().__init__(graph, protocols, channel, metrics)
+        missing = graph.nodes - set(protocols)
+        if missing:
+            raise SimulationError(
+                f"no protocol for nodes {sorted(missing, key=repr)}"
+            )
+        extra = set(protocols) - graph.nodes
+        if extra:
+            raise SimulationError(
+                f"protocols for unknown nodes {sorted(extra, key=repr)}"
+            )
+        self.graph = graph
+        self.protocols: Dict[Hashable, Protocol] = dict(protocols)
+        self.channel = channel if channel is not None else local_broadcast_model()
+        self.trace = Trace()
+        # round_no doubles as the virtual tick of the latest activation.
+        self.round_no = 0
+        self._order = sorted(graph.nodes, key=repr)
+        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.scheduler = scheduler
         scheduler.bind(graph, self.channel)
         scheduler.metrics = self.metrics
-        # round_no doubles as the virtual tick of the latest activation.
         # Tick -> entries (sender, message, recipients, index of the
         # first recipient's Delivery record), in send order.
         self._calendar: Dict[
             int, List[Tuple[Hashable, object, Tuple[Hashable, ...], int]]
         ] = {}
         self._in_flight = 0
-        self._send_seq = 0
+        # Per-tick metric cells, rendered once per engine (cells create
+        # no keys until first fired, so binding is snapshot-neutral).
+        m = self.metrics
+        self._c_ticks = m.counter_cell("net.ticks")
+        self._c_deliveries = m.counter_cell("net.deliveries")
+        self._c_transmissions = m.counter_cell("net.transmissions")
+        self._c_quiescent = m.counter_cell("net.quiescent_ticks")
+        self._h_deliveries_per_tick = m.hist_cell("net.deliveries_per_tick")
+        self._g_in_flight = m.gauge_cell("net.in_flight.max")
+        # Decision instants are part of the trace (the flight recorder's
+        # blame analysis anchors on them).  A protocol that is already
+        # decided at construction decided on its input alone, before any
+        # communication — virtual time 0.
+        self._undecided = set(self._order)
+        for node in self._order:
+            value = self.protocols[node].output()
+            if value is not None:
+                self._undecided.discard(node)
+                self.trace.record_decision(
+                    Decision(node, value, 0, CAUSE_INPUT, None)
+                )
+
+    @property
+    def in_flight(self) -> int:
+        """Deliveries scheduled but not yet drained (maintained by
+        :meth:`step`, so the runner's stall check costs no re-count)."""
+        return self._in_flight
 
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance virtual time one tick and activate every node.
 
-        As in :meth:`SynchronousNetwork.step`, the per-message loops use
-        hoisted locals, positional record construction and direct
-        appends to the trace lists.
+        The per-message loops use hoisted locals, positional record
+        construction (field order is part of the record types' API) and
+        direct appends to the trace lists.
         """
         self.round_no += 1
         now = self.round_no
@@ -249,7 +317,6 @@ class EventDrivenNetwork(NetworkEngine):
         schedule = self.scheduler.schedule
         calendar = self._calendar
         sorted_neighbors = graph.sorted_neighbors
-        send_seq = self._send_seq
         queued = 0
         for node, outbox, ck, ci in outboxes:
             if not outbox:
@@ -263,49 +330,128 @@ class EventDrivenNetwork(NetworkEngine):
                     if target is None
                     else self._resolve_recipients(node, target)
                 )
-                times = schedule(
-                    SendEvent(send_seq, now, node, message, target, recipients)
+                send = Transmission(
+                    now, node, message, target, recipients, now, ck, ci
                 )
-                send_seq += 1
+                times = schedule(send)
                 send_index = len(transmissions)
-                transmissions.append(
-                    Transmission(
-                        now, node, message, target, recipients, now, ck, ci
-                    )
-                )
+                transmissions.append(send)
                 if not recipients:
                     continue
-                if min(times) <= now:
-                    i = next(i for i, when in enumerate(times) if when <= now)
-                    raise SchedulingError(
-                        f"{self.scheduler.name}: delivery at {times[i]} not "
-                        f"after send at {now} ({node!r} -> {recipients[i]!r})"
-                    )
                 index = len(deliveries)
-                for recipient, when in zip(recipients, times):
-                    deliveries.append(
-                        Delivery(send_index, node, recipient, message, now, when)
-                    )
                 when = times[0]
                 if times.count(when) == len(times):
+                    if when <= now:
+                        self._reject(now, node, recipients, times)
+                    for recipient in recipients:
+                        deliveries.append(
+                            Delivery(send_index, node, recipient, message, now, when)
+                        )
                     calendar.setdefault(when, []).append(
                         (node, message, recipients, index)
                     )
                 else:
+                    if min(times) <= now:
+                        self._reject(now, node, recipients, times)
                     for recipient, when in zip(recipients, times):
+                        deliveries.append(
+                            Delivery(send_index, node, recipient, message, now, when)
+                        )
                         calendar.setdefault(when, []).append(
                             (node, message, (recipient,), index)
                         )
                         index += 1
                 queued += len(recipients)
-        self._send_seq = send_seq
         self._in_flight += queued
         if trace.rounds < now:
             trace.rounds = now
         self._observe_tick(delivered, len(transmissions) - sent_before)
 
-    @property
-    def in_flight(self) -> int:
-        """Deliveries scheduled but not yet drained (maintained by
-        :meth:`step`, so the runner's stall check costs no re-count)."""
-        return self._in_flight
+    def _reject(
+        self, now: int, node: Hashable, recipients: tuple, times: List[int]
+    ) -> None:
+        """Raise for the first recipient a send would reach in the past."""
+        i = next(i for i, when in enumerate(times) if when <= now)
+        raise SchedulingError(
+            f"{self.scheduler.name}: delivery at {times[i]} not "
+            f"after send at {now} ({node!r} -> {recipients[i]!r})"
+        )
+
+    def _observe_tick(self, delivered: int, sent: int) -> None:
+        """Per-tick network metrics.
+
+        ``delivered`` counts messages handed to inboxes this tick,
+        ``sent`` the transmissions queued by it.
+        """
+        m = self.metrics
+        if not m.enabled:
+            return
+        in_flight = self._in_flight
+        self._c_ticks()
+        if delivered:
+            self._c_deliveries(delivered)
+        if sent:
+            self._c_transmissions(sent)
+        self._h_deliveries_per_tick(delivered)
+        self._g_in_flight(in_flight)
+        if delivered == 0 and sent == 0 and in_flight == 0:
+            self._c_quiescent()
+        if m.events is not None:
+            m.emit(
+                "tick",
+                tick=self.round_no,
+                deliveries=delivered,
+                sends=sent,
+                in_flight=in_flight,
+            )
+
+    def _resolve_recipients(
+        self, node: Hashable, target: Optional[Hashable]
+    ) -> tuple:
+        """The realized delivery set of one send, channel-enforced.
+
+        Defense in depth: :meth:`Context.send` already rejects unicasts
+        from broadcast-restricted nodes, but a protocol appending to the
+        outbox directly must not bypass the channel model either.
+        """
+        if target is None:
+            return self.graph.sorted_neighbors(node)
+        if not self.channel.may_unicast(node):
+            raise SimulationError(
+                f"node {node!r} attempted unicast under "
+                f"{self.channel.kind} channel"
+            )
+        return (target,)
+
+    # ------------------------------------------------------------------
+    def run(self, rounds: int) -> Trace:
+        """Run exactly ``rounds`` ticks (protocols may finish earlier)."""
+        for _ in range(rounds):
+            self.step()
+        return self.trace
+
+    def run_until_decided(self, max_rounds: int, honest: Optional[set] = None) -> Trace:
+        """Run until every (honest) protocol reports ``finished``.
+
+        Raises :class:`SimulationError` if ``max_rounds`` ticks elapse
+        first — termination violations surface as errors, not hangs.
+        """
+        watch = set(honest) if honest is not None else set(self.protocols)
+        watched = [self.protocols[v] for v in sorted(watch, key=repr)]
+        for _ in range(max_rounds):
+            if all(p.finished for p in watched):
+                return self.trace
+            self.step()
+        if all(p.finished for p in watched):
+            return self.trace
+        undecided = sorted(
+            (v for v in watch if not self.protocols[v].finished), key=repr
+        )
+        raise SimulationError(
+            f"nodes {undecided} undecided after {max_rounds} rounds"
+        )
+
+    # ------------------------------------------------------------------
+    def outputs(self) -> Dict[Hashable, Optional[int]]:
+        """Each node's current output (``None`` while undecided)."""
+        return {v: self.protocols[v].output() for v in self._order}

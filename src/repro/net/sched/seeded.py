@@ -12,7 +12,7 @@ agreement — quantifying when they break is the point of the
 ``--scheduler seeded-async`` sweep axis.
 
 Determinism: the RNG is reset at :meth:`bind` from ``seed`` alone and
-consumed in the canonical (send, recipient) order the core guarantees,
+consumed in the canonical (send, recipient) order the engine guarantees,
 so a run — and any sweep over runs, at any worker count — is replayable
 from the seed.
 """
@@ -20,12 +20,12 @@ from the seed.
 from __future__ import annotations
 
 import random
-from typing import Hashable
+from typing import List
 
 from ...graphs import Graph
 from ..channels import ChannelModel
+from ..trace import Transmission
 from .base import Scheduler
-from .events import SendEvent
 
 
 class SeededAsyncScheduler(Scheduler):
@@ -58,5 +58,6 @@ class SeededAsyncScheduler(Scheduler):
         # unseeded default of other RNG uses in the library.
         self._rng = random.Random(repr(("seeded-async", self.seed)))
 
-    def delay(self, send: SendEvent, recipient: Hashable) -> int:
-        return self._rng.randint(1, self.max_delay)
+    def delays(self, send: Transmission) -> List[int]:
+        randint, max_delay = self._rng.randint, self.max_delay
+        return [randint(1, max_delay) for _ in send.recipients]

@@ -4,9 +4,9 @@ Schedulers are single-run objects (link clocks, RNG state), so anything
 that fans runs out — :func:`repro.analysis.sweep.consensus_sweep`
 tasks shipped to worker processes, or the CLI — carries a frozen
 :class:`SchedulerSpec` instead and builds a fresh scheduler per run
-with :meth:`SchedulerSpec.build`.  ``None`` in a scheduler axis means
-the classic :class:`~repro.net.simulator.SynchronousNetwork` fast path
-(reported as ``"sync"``; trace-equivalent to ``"lockstep"``).
+with :meth:`SchedulerSpec.build`.  ``None`` in a scheduler axis runs
+the same unit-delay timing as ``"lockstep"`` but keeps its historical
+report label, ``"sync"``.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def parse_scheduler(
     unbounded: bool = False,
     window: int = 0,
 ) -> "SchedulerSpec | None":
-    """Parse a CLI scheduler token: a kind name, or ``sync`` for the
-    synchronous fast path (returned as ``None``).
+    """Parse a CLI scheduler token: a kind name, or ``sync`` (returned
+    as ``None``: lockstep timing under the ``"sync"`` report label).
 
     ``unbounded`` and ``window`` pass through to the spec (``window``
     only applies to the adversarial kind and is dropped for others, so

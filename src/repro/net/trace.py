@@ -11,9 +11,8 @@ The trace is the simulator's ground truth.  It drives:
   events carry virtual timestamps: every :class:`Transmission` records
   the virtual time it was sent (``sent_at``) and every per-recipient
   :class:`Delivery` the virtual time it landed (``delivered_at``).
-  Under the synchronous simulator virtual time coincides with the round
-  number, so synchronous and lockstep event-driven traces are directly
-  comparable;
+  Under lockstep timing (the synchronous rounds of Section 3) virtual
+  time coincides with the round number;
 * debugging: a faithful log of who said what, when, to whom.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Tuple
 
-# Both record types are constructed once per message on the simulator's
+# Both record types are constructed once per message on the engine's
 # hot path; plain slots with a generated hash keep eq/hash/repr identical
 # to the frozen form at a third of the construction cost.  Nothing may
 # mutate a record after it is appended to a trace.
@@ -45,8 +44,8 @@ class Transmission:
     """One send event.  ``target is None`` means local broadcast;
     ``recipients`` is the realized delivery set (the sender's neighbors
     for a broadcast, the single target otherwise).  ``sent_at`` is the
-    virtual timestamp of the send — equal to ``round_no`` under the
-    synchronous simulator and the lockstep scheduler.
+    virtual timestamp of the send — equal to ``round_no`` in the engine.
+    Schedulers receive this record to time its deliveries.
 
     ``cause_kind``/``cause_index`` are the happened-before parent link:
     ``cause_kind`` classifies what provoked the activation that emitted
@@ -55,7 +54,7 @@ class Transmission:
     position in ``Trace.deliveries`` of the *primary* cause — the last
     delivery that landed in the emitting activation's inbox.  The full
     parent set of a send is every delivery to its sender with
-    ``delivered_at == sent_at`` (both engines drain exactly those into
+    ``delivered_at == sent_at`` (the engine drains exactly those into
     the activation's inbox), so the trace is a happened-before DAG:
     delivery → its transmission via ``send_index``, transmission → the
     deliveries of its activation via timestamps, with ``cause_index``
@@ -117,7 +116,7 @@ class Trace:
     """An append-only log of transmissions plus run metadata.
 
     ``deliveries`` is the per-recipient view of the same traffic with
-    virtual delivery timestamps; both simulators append a
+    virtual delivery timestamps; the engine appends a
     :class:`Delivery` per recipient at send time (in recipient order),
     so the two logs always line up.
     """

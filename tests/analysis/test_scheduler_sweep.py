@@ -50,8 +50,8 @@ class TestAxis:
         assert tasks[per_fault].faulty != tasks[0].faulty
 
     def test_sync_and_lockstep_records_agree(self, c4):
-        """The event-driven core under lockstep reproduces the classic
-        engine record-for-record inside a sweep."""
+        """The ``None`` axis entry (labelled ``"sync"``) and the lockstep
+        spec agree record-for-record inside a sweep."""
         report = axis_sweep(c4, schedulers=[None, SchedulerSpec("lockstep")])
         by_scheduler = {"sync": [], "lockstep": []}
         for r in report.records:

@@ -4,8 +4,8 @@ Four layers of claims:
 
 * **fault-free equivalence** — across the same five factory scenarios
   the synchronizer suite covers, the asynchronous algorithm decides the
-  same value under the lockstep scheduler as under the synchronous
-  simulator (trace-identically, in fact), and that value is the
+  same value under the lockstep spec as under ``scheduler=None``
+  (trace-identically, in fact), and that value is the
   majority (ties → 0) of all inputs — the same rule the synchronous
   Algorithm 2 applies;
 * **quorum mechanics** — single-valued reliable receipt, the silent
@@ -100,7 +100,7 @@ class TestFaultFreeEquivalence:
         sync, _ = run_case(case, None)
         lockstep, _ = run_case(case, LOCKSTEP)
         assert verdict(lockstep) == verdict(sync)
-        # Stronger: the two engines produce the same wire traffic.
+        # Stronger: both produce the same wire traffic.
         assert lockstep.trace.transmissions == sync.trace.transmissions
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)

@@ -9,11 +9,12 @@ from repro.graphs import cycle_graph, paper_figure_1a, random_connected_graph
 from repro.net import (
     Context,
     DropForwardAdversary,
+    EventDrivenNetwork,
     FaultSpec,
+    LockstepScheduler,
     LyingInitAdversary,
     Protocol,
     SilentAdversary,
-    SynchronousNetwork,
     TamperForwardAdversary,
     ValuePayload,
     local_broadcast_model,
@@ -72,7 +73,7 @@ def simulate_flood(graph, values, fault_kind=None, faulty_node=None):
             protos[v] = ADVERSARY_MAKERS[fault_kind]().build(spec)
         else:
             protos[v] = factory(v, values[v])
-    net = SynchronousNetwork(graph, protos, ch)
+    net = EventDrivenNetwork(graph, protos, LockstepScheduler(), ch)
     net.run(flood_rounds(graph))
     return {
         v: {

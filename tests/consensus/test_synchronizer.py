@@ -451,8 +451,9 @@ class TestSchedulerContract:
         from repro.net.sched import LockstepScheduler
 
         class Liar(LockstepScheduler):
-            def delay(self, send, recipient):
-                return 2  # declared worst_case_delay is 1
+            def delays(self, send):
+                # declared worst_case_delay is 1
+                return [2] * len(send.recipients)
 
         g = cycle_graph(4)
 

@@ -21,7 +21,6 @@ from repro.net import (
     SchedulerSpec,
     SchedulingError,
     SeededAsyncScheduler,
-    SynchronousNetwork,
     TamperForwardAdversary,
     point_to_point_model,
 )
@@ -214,8 +213,8 @@ class TestUnboundedDeclaration:
 class TestSchedulerErrors:
     def test_zero_delay_is_rejected(self):
         class Cheater(LockstepScheduler):
-            def delay(self, send, recipient):
-                return 0
+            def delays(self, send):
+                return [0] * len(send.recipients)
 
         g = cycle_graph(4)
         with pytest.raises(SchedulingError):
@@ -223,21 +222,29 @@ class TestSchedulerErrors:
 
     def test_delay_above_declared_bound_is_rejected(self):
         class Overshoot(SeededAsyncScheduler):
-            def delay(self, send, recipient):
-                return self.max_delay + 1
+            def delays(self, send):
+                return [self.max_delay + 1] * len(send.recipients)
 
         with pytest.raises(SchedulingError, match="worst-case bound 2"):
             run_network(cycle_graph(4), Overshoot(seed=0, max_delay=2), rounds=2)
 
     def test_undeclared_bound_admits_long_delays(self):
         class Slow(SeededAsyncScheduler):
-            def delay(self, send, recipient):
-                return self.max_delay + 5
+            def delays(self, send):
+                return [self.max_delay + 5] * len(send.recipients)
 
         net = run_network(
             cycle_graph(4), Slow(seed=0, max_delay=2, declare_bound=False)
         )
         assert net.trace.max_latency == 7
+
+    def test_misaligned_delays_are_rejected(self):
+        class Short(LockstepScheduler):
+            def delays(self, send):
+                return [1] * (len(send.recipients) - 1)
+
+        with pytest.raises(SchedulingError, match="2 delays for the 3 recipients"):
+            run_network(complete_graph(4), Short(), rounds=2)
 
     def test_zero_delay_on_last_recipient_is_rejected_and_named(self):
         """Validation is batched per send, so a bad delay anywhere in the
@@ -245,12 +252,23 @@ class TestSchedulerErrors:
         the error must name the recipient it belongs to."""
 
         class LastZero(LockstepScheduler):
-            def delay(self, send, recipient):
-                return 0 if recipient == send.recipients[-1] else 1
+            def delays(self, send):
+                return [0 if r == send.recipients[-1] else 1 for r in send.recipients]
+
+        class LastTwo(LockstepScheduler):
+            # Not every delay is 1, so the unit-bound exit must fall
+            # through to the bound check instead of returning.
+            def delays(self, send):
+                return [2 if r == send.recipients[-1] else 1 for r in send.recipients]
 
         g = complete_graph(4)  # node 0 broadcasts first, to (1, 2, 3)
         with pytest.raises(SchedulingError, match=r"delay 0 < 1 for 0 -> 3$"):
             run_network(g, LastZero(), rounds=2)
+        with pytest.raises(
+            SchedulingError,
+            match=r"delay 2 exceeds the declared worst-case bound 1 for 0 -> 3$",
+        ):
+            run_network(g, LastTwo(), rounds=2)
 
 
 class Chatter(Protocol):
@@ -271,7 +289,6 @@ class Chatter(Protocol):
 
 
 ENGINES = {
-    "sync": lambda g, p, c: SynchronousNetwork(g, p, c),
     "lockstep": lambda g, p, c: EventDrivenNetwork(g, p, LockstepScheduler(), c),
     "seeded-async": lambda g, p, c: EventDrivenNetwork(
         g, p, SeededAsyncScheduler(seed=4, max_delay=3), c
