@@ -271,22 +271,26 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``--algorithm`` → ``(graph, args) → honest-protocol factory``; the
+#: ``--algorithm`` choices of ``run``/``sweep``/``profile`` are its keys.
+ALGORITHMS = {
+    "1": lambda graph, args: consensus.algorithm1_factory(graph, args.f),
+    "2": lambda graph, args: consensus.algorithm2_factory(graph, args.f),
+    "3": lambda graph, args: consensus.algorithm3_factory(
+        graph, args.f, args.t or 0
+    ),
+    "async": lambda graph, args: consensus.async_factory(graph, args.f),
+}
+
+
 def build_factory(args: argparse.Namespace, graph: graphs.Graph):
-    """The ``--algorithm`` dispatch shared by ``run`` and ``sweep``."""
-    if args.algorithm == "1":
-        return consensus.algorithm1_factory(graph, args.f)
-    if args.algorithm == "2":
-        return consensus.algorithm2_factory(graph, args.f)
-    if args.algorithm == "3":
-        return consensus.algorithm3_factory(graph, args.f, args.t or 0)
-    if args.algorithm == "async":
-        if args.synchronizer != "none":
-            raise SystemExit(
-                "the async algorithm is natively asynchronous; "
-                "use --synchronizer none"
-            )
-        return consensus.async_factory(graph, args.f)
-    raise SystemExit(f"unknown algorithm {args.algorithm!r}")
+    """The ``--algorithm`` dispatch of ``run``, ``sweep`` and ``profile``."""
+    if args.algorithm == "async" and args.synchronizer != "none":
+        raise SystemExit(
+            "the async algorithm is natively asynchronous; "
+            "use --synchronizer none"
+        )
+    return ALGORITHMS[args.algorithm](graph, args)
 
 
 def build_metrics(args: argparse.Namespace):
@@ -889,6 +893,50 @@ def cmd_demo_impossibility(args: argparse.Namespace) -> int:
     return 0 if outcome.violation_demonstrated else 1
 
 
+def _problem_options(algorithm: bool = False) -> argparse.ArgumentParser:
+    """``--graph/--f/--t`` (plus ``--algorithm``) as a parent parser.
+
+    Built fresh per subcommand: argparse shares a parent's actions with
+    every child, so one child's ``set_defaults`` would leak into the rest.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--graph", required=True)
+    parent.add_argument("--f", type=int, required=True)
+    parent.add_argument("--t", type=int, default=None)
+    if algorithm:
+        parent.add_argument("--algorithm", default="1", choices=list(ALGORITHMS))
+    return parent
+
+
+def _timing_options() -> argparse.ArgumentParser:
+    """The timing options of ``run`` and ``sweep`` as a parent parser."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--scheduler", default="sync",
+                        help="timing model: sync, lockstep, seeded-async, "
+                             "adversarial (sweep: a comma-separated axis)")
+    parent.add_argument("--synchronizer", default="none",
+                        choices=["none", "alpha", "ack"],
+                        help="wrap the protocol in an α-synchronizer so it "
+                             "keeps its round structure under async timing "
+                             "(window = the axis's worst declared delay; ack "
+                             "mode tolerates f marker-withholding faults); "
+                             "--algorithm async needs none")
+    parent.add_argument("--max-delay", type=int, default=3,
+                        help="worst-case per-link delay for async schedulers")
+    parent.add_argument("--declare-unbounded", action="store_true",
+                        help="withdraw the delay-bound declaration from the "
+                             "async schedulers (same delays on the wire; "
+                             "bound-reading layers must refuse or go native)")
+    parent.add_argument("--target-window", type=int, default=0,
+                        help="adversarial scheduler: land bottleneck traffic "
+                             "exactly on the α-synchronizer activation ticks "
+                             "of this window (0 = flat max-delay stretching)")
+    parent.add_argument("--seed", type=int, default=0,
+                        help="seed for the seeded-async scheduler (sweep: "
+                             "also the adversary and fault-sample seed)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -897,42 +945,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="evaluate feasibility conditions")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
+    p = sub.add_parser("check", parents=[_problem_options()],
+                       help="evaluate feasibility conditions")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("run", help="run a consensus algorithm")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--algorithm", default="1",
-                   choices=["1", "2", "3", "async"])
+    p = sub.add_parser("run", parents=[_problem_options(algorithm=True),
+                                       _timing_options()],
+                       help="run a consensus algorithm")
     p.add_argument("--faulty", default="",
                    help="comma-separated node indices")
     p.add_argument("--adversary", default="tamper-forward")
-    p.add_argument("--scheduler", default="sync",
-                   help="timing model: sync, lockstep, seeded-async, "
-                        "adversarial")
-    p.add_argument("--synchronizer", default="none",
-                   choices=["none", "alpha", "ack"],
-                   help="wrap the protocol in an α-synchronizer so it "
-                        "keeps its round structure under async timing "
-                        "(ack mode tolerates f marker-withholding "
-                        "faults); --algorithm async needs none")
-    p.add_argument("--max-delay", type=int, default=3,
-                   help="worst-case per-link delay for async schedulers")
-    p.add_argument("--declare-unbounded", action="store_true",
-                   help="withdraw the delay-bound declaration from the "
-                        "async schedulers (same delays on the wire; "
-                        "bound-reading layers must refuse or go native)")
-    p.add_argument("--target-window", type=int, default=0,
-                   help="adversarial scheduler: land bottleneck traffic "
-                        "exactly on the α-synchronizer activation ticks "
-                        "of this window (0 = flat max-delay stretching)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the seeded-async scheduler")
     p.add_argument("--metrics", nargs="?", const="-", default=None,
                    metavar="FILE",
                    help="meter the run; print the canonical snapshot "
@@ -949,14 +971,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
+        parents=[_problem_options(algorithm=True), _timing_options()],
         help="run the adversary battery over every fault placement "
              "and emit a JSON report",
     )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--algorithm", default="1",
-                   choices=["1", "2", "3", "async"])
     p.add_argument("--workers", type=int, default=1,
                    help="process fan-out (1 = serial; report is identical)")
     p.add_argument("--fault-limit", type=int, default=None,
@@ -964,24 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", default="",
                    help="comma-separated input-pattern names "
                         "(default: all four)")
-    p.add_argument("--scheduler", default="sync",
-                   help="comma-separated timing axis: sync, lockstep, "
-                        "seeded-async, adversarial")
-    p.add_argument("--synchronizer", default="none",
-                   choices=["none", "alpha", "ack"],
-                   help="wrap the swept protocol in an α-synchronizer "
-                        "(window = the axis's worst declared delay; "
-                        "ack mode tolerates f withheld markers)")
-    p.add_argument("--max-delay", type=int, default=3,
-                   help="worst-case per-link delay for async schedulers")
-    p.add_argument("--declare-unbounded", action="store_true",
-                   help="withdraw the delay-bound declaration from the "
-                        "async schedulers (same delays on the wire)")
-    p.add_argument("--target-window", type=int, default=0,
-                   help="adversarial scheduler: land bottleneck traffic "
-                        "exactly on α-window activation ticks "
-                        "(0 = flat max-delay stretching)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="",
                    help="write the JSON report here instead of stdout")
     p.add_argument("--exit-zero", action="store_true",
@@ -1011,14 +1011,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
+        parents=[_problem_options(algorithm=True)],
         help="metered fault-free run + sweep, checked against the "
              "closed-form cost model; optionally emit BENCH_<name>.json",
     )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--algorithm", default="2",
-                   choices=["1", "2", "3", "async"])
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--fault-limit", type=int, default=None,
                    help="seeded sample size of fault subsets")
@@ -1038,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also record a causal flight recording of the "
                         "metered fault-free run to FILE (header carries "
                         "the phase spans; see `trace export-chrome`)")
-    p.set_defaults(fn=cmd_profile, synchronizer="none")
+    p.set_defaults(fn=cmd_profile, algorithm="2", synchronizer="none")
 
     p = sub.add_parser(
         "trace",

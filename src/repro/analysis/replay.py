@@ -11,6 +11,12 @@ byte-compared with the first.  Recipes instead of pickles keep flight
 blobs worker-count-invariant (pickled oracles embed cache warmth) and
 keep the file format inspectable and diffable.
 
+Every library protocol runs under one
+:class:`~repro.consensus.factory.ProtocolFactory`, whose spec is
+``{"kind": ..., "f": ..., **params}``; one ``kind → protocol class``
+table (:data:`PROTOCOLS`) rebuilds them all.  Only the synchronizer
+wrapper carries its own recipe.
+
 ``replay_flight`` is the determinism audit in one call: *any* byte of
 divergence between the original and the re-execution — one message, one
 timestamp, one cause link — is a reproducibility bug, and the first
@@ -22,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
-from ..consensus.algorithm1 import Algorithm1Factory
-from ..consensus.algorithm2 import Algorithm2Factory
-from ..consensus.algorithm3 import Algorithm3Factory
-from ..consensus.async_alg import AsyncFactory
-from ..consensus.baselines import DolevEIGFactory, EIGFactory
+from ..consensus.ablation import AblatedExactConsensus
+from ..consensus.algorithm1 import Algorithm1Protocol
+from ..consensus.algorithm2 import Algorithm2Protocol
+from ..consensus.algorithm3 import Algorithm3Protocol
+from ..consensus.async_alg import AsyncConsensusProtocol
+from ..consensus.baselines import DolevEIGProtocol, EIGProtocol
+from ..consensus.factory import ProtocolFactory
 from ..consensus.runner import ConsensusResult, run_consensus
 from ..consensus.synchronizer import SynchronizedFactory
 from ..graphs import Digraph, Graph
@@ -54,21 +62,28 @@ def graph_from_flight(header: dict) -> Graph:
     return Graph(nodes, edges)
 
 
+#: ``flight_spec()["kind"]`` → the protocol class a
+#: :class:`~repro.consensus.factory.ProtocolFactory` was built around.
+PROTOCOLS = {
+    cls.kind: cls
+    for cls in (
+        Algorithm1Protocol,
+        Algorithm2Protocol,
+        Algorithm3Protocol,
+        AsyncConsensusProtocol,
+        EIGProtocol,
+        DolevEIGProtocol,
+        AblatedExactConsensus,
+    )
+}
+
+
 def factory_from_flight(graph: Graph, spec: dict):
     """Rebuild the honest-protocol factory from its ``flight_spec()``."""
     kind = spec.get("kind")
-    if kind == "algorithm1":
-        return Algorithm1Factory(graph, spec["f"])
-    if kind == "algorithm2":
-        return Algorithm2Factory(graph, spec["f"])
-    if kind == "algorithm3":
-        return Algorithm3Factory(graph, spec["f"], spec["t"])
-    if kind == "async":
-        return AsyncFactory(graph, spec["f"], patience=spec.get("patience"))
-    if kind == "eig":
-        return EIGFactory(graph, spec["f"])
-    if kind == "dolev-eig":
-        return DolevEIGFactory(graph, spec["f"])
+    if kind in PROTOCOLS:
+        params = {k: spec[k] for k in sorted(spec) if k not in ("kind", "f")}
+        return ProtocolFactory(PROTOCOLS[kind], graph, spec["f"], **params)
     if kind == "synchronized":
         return SynchronizedFactory(
             factory_from_flight(graph, spec["inner"]),
@@ -79,7 +94,7 @@ def factory_from_flight(graph: Graph, spec: dict):
         )
     if kind == "opaque":
         raise FlightReplayError(
-            f"factory {spec.get('repr', '?')} was recorded without a "
+            f"factory {spec.get('name', '?')} was recorded without a "
             "flight_spec(); the flight is analyzable but not replayable"
         )
     raise FlightReplayError(f"unknown factory kind {kind!r}")

@@ -17,11 +17,12 @@
   no delay bound;
 * :mod:`~repro.consensus.synchronizer` — the α-synchronizer layer that
   instead runs the fixed-round protocols unchanged under asynchrony;
+* :mod:`~repro.consensus.factory` — :class:`ProtocolFactory`, the one
+  picklable ``(node, input) → protocol`` factory every algorithm uses;
 * :mod:`~repro.consensus.runner` — one-call experiment driver.
 """
 
 from .algorithm1 import (
-    Algorithm1Factory,
     Algorithm1Protocol,
     ExactConsensusProtocol,
     algorithm1_factory,
@@ -29,13 +30,12 @@ from .algorithm1 import (
     candidate_pairs,
     phase_count,
 )
-from .algorithm2 import Algorithm2Factory, Algorithm2Protocol, algorithm2_factory, majority
-from .algorithm3 import Algorithm3Factory, Algorithm3Protocol, algorithm3_factory
+from .algorithm2 import Algorithm2Protocol, algorithm2_factory, majority
+from .algorithm3 import Algorithm3Protocol, algorithm3_factory
 from .async_alg import (
     DECIDE_PHASE,
     VALUES_PHASE,
     AsyncConsensusProtocol,
-    AsyncFactory,
     async_factory,
     vote_phase,
 )
@@ -64,6 +64,7 @@ from .conditions import (
     max_f_local_broadcast,
     max_f_point_to_point,
 )
+from .factory import ProtocolFactory
 from .flooding import FloodInstance, flood_rounds
 from .iterative import (
     WMSRResult,
@@ -98,15 +99,11 @@ from .synchronizer import (
 )
 
 __all__ = [
-    "Algorithm1Factory",
     "Algorithm1Protocol",
-    "Algorithm2Factory",
     "Algorithm2Protocol",
-    "Algorithm3Factory",
     "Algorithm3Protocol",
     "AlphaSynchronizer",
     "AsyncConsensusProtocol",
-    "AsyncFactory",
     "ClaimIndex",
     "Clause",
     "ConditionReport",
@@ -124,6 +121,7 @@ __all__ = [
     "OUTCOME_STALLED",
     "PathFloodEngine",
     "PathOracle",
+    "ProtocolFactory",
     "ReportBundle",
     "RoundMarker",
     "SYNCHRONIZER_MODES",

@@ -26,8 +26,8 @@ from ..net.adversary import Adversary, FaultSpec, _WrapperProtocol
 from ..net.messages import FloodMessage, ValuePayload
 from ..net.node import Protocol
 from .algorithm1 import ExactConsensusProtocol
+from .factory import ProtocolFactory
 from .flooding import FloodInstance
-from .path_oracle import PathOracle
 
 PathTuple = Tuple[Hashable, ...]
 
@@ -38,6 +38,8 @@ class AblatedExactConsensus(ExactConsensusProtocol):
     Every other rule — path validity, self-exclusion, defaults — stays
     intact, isolating the contribution of the duplicate-slot rule.
     """
+
+    kind = "ablated-algorithm1"
 
     def on_round(self, ctx) -> None:
         r = ctx.round_no
@@ -65,28 +67,9 @@ class AblatedExactConsensus(ExactConsensusProtocol):
                 self._output = self.gamma
 
 
-class AblatedAlgorithm1Factory:
-    """Picklable factory for the rule-(ii)-less Algorithm 1, sharing one
-    :class:`~repro.consensus.path_oracle.PathOracle` per graph."""
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> AblatedExactConsensus:
-        return AblatedExactConsensus(
-            self.graph, node, self.f, input_value, t=0, oracle=self.oracle
-        )
-
-    def __reduce__(self):
-        # Carry the (warm) oracle across the process boundary.
-        return (type(self), (self.graph, self.f), {"oracle": self.oracle})
-
-
-def ablated_algorithm1_factory(graph: Graph, f: int) -> AblatedAlgorithm1Factory:
+def ablated_algorithm1_factory(graph: Graph, f: int) -> ProtocolFactory:
     """Factory for the rule-(ii)-less Algorithm 1."""
-    return AblatedAlgorithm1Factory(graph, f)
+    return ProtocolFactory(AblatedExactConsensus, graph, f)
 
 
 class ReInitAdversary(Adversary):

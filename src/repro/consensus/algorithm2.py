@@ -31,6 +31,7 @@ from ..graphs import Graph
 from ..net.messages import DecisionPayload, ValuePayload
 from ..net.node import Context, Protocol
 from ..obs import NULL_METRICS
+from .factory import ProtocolFactory
 from .flooding import FloodInstance
 from .path_oracle import PathOracle
 from .reliable import ClaimIndex, ReportBundle, detect_faults, reliable_value
@@ -47,6 +48,9 @@ def majority(values: List[int]) -> int:
 
 class Algorithm2Protocol(Protocol):
     """Appendix C's efficient protocol.  Requires ``G`` 2f-connected."""
+
+    kind = "algorithm2"
+    shares_oracle = True
 
     PHASE1 = ("efficient", 1)
     PHASE2 = ("efficient", 2)
@@ -267,39 +271,6 @@ class Algorithm2Protocol(Protocol):
         self._output = majority([inputs[u] for u in sorted(inputs, key=repr)])
 
 
-class Algorithm2Factory:
-    """Picklable honest-protocol factory: ``(node, input) → protocol``.
-
-    A plain class rather than a closure so the parallel sweep engine can
-    ship it to worker processes.  All instances it creates share one
-    :class:`PathOracle`, so the per-pair disjoint-path families phase-2
-    fault localization walks are computed once per graph — not once per
-    (node, run, pair).  The oracle keeps shipping cheap by pickling only
-    its structural memos (see :meth:`PathOracle.__reduce__`), so sweep
-    workers start warm.
-    """
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> Algorithm2Protocol:
-        return Algorithm2Protocol(
-            self.graph, node, self.f, input_value, oracle=self.oracle
-        )
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "algorithm2", "f": self.f}
-
-    def __reduce__(self):
-        # The state dict carries the (warm) oracle across the process
-        # boundary; its own __reduce__ ships just the structural memos.
-        return (type(self), (self.graph, self.f), {"oracle": self.oracle})
-
-
-def algorithm2_factory(graph: Graph, f: int) -> Algorithm2Factory:
+def algorithm2_factory(graph: Graph, f: int) -> ProtocolFactory:
     """Honest-protocol factory for the runner: ``(node, input) → protocol``."""
-    return Algorithm2Factory(graph, f)
+    return ProtocolFactory(Algorithm2Protocol, graph, f)

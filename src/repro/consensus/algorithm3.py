@@ -20,11 +20,14 @@ from typing import Hashable, Optional
 
 from ..graphs import Graph
 from .algorithm1 import ExactConsensusProtocol
+from .factory import ProtocolFactory
 from .path_oracle import PathOracle
 
 
 class Algorithm3Protocol(ExactConsensusProtocol):
     """Algorithm 3 (hybrid model) — the engine with an equivocation budget."""
+
+    kind = "algorithm3"
 
     def __init__(
         self, graph: Graph, node: Hashable, f: int, t: int, input_value: int,
@@ -33,35 +36,6 @@ class Algorithm3Protocol(ExactConsensusProtocol):
         super().__init__(graph, node, f, input_value, t=t, oracle=oracle)
 
 
-class Algorithm3Factory:
-    """Picklable honest-protocol factory sharing one :class:`PathOracle`
-    across all protocol instances on the graph."""
-
-    def __init__(self, graph: Graph, f: int, t: int):
-        self.graph = graph
-        self.f = f
-        self.t = t
-        self.oracle = PathOracle(graph)
-
-    def __call__(self, node: Hashable, input_value: int) -> Algorithm3Protocol:
-        return Algorithm3Protocol(
-            self.graph, node, self.f, self.t, input_value, oracle=self.oracle
-        )
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "algorithm3", "f": self.f, "t": self.t}
-
-    def __reduce__(self):
-        # Carry the (warm) oracle across the process boundary.
-        return (
-            type(self),
-            (self.graph, self.f, self.t),
-            {"oracle": self.oracle},
-        )
-
-
-def algorithm3_factory(graph: Graph, f: int, t: int) -> Algorithm3Factory:
+def algorithm3_factory(graph: Graph, f: int, t: int) -> ProtocolFactory:
     """Honest-protocol factory for the runner: ``(node, input) → protocol``."""
-    return Algorithm3Factory(graph, f, t)
+    return ProtocolFactory(Algorithm3Protocol, graph, f, t=t)

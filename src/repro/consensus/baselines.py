@@ -31,6 +31,7 @@ from ..net.adversary import Adversary, FaultSpec, _WrapperProtocol
 from ..net.messages import DirectMessage
 from ..net.node import Context, Protocol
 from .algorithm2 import majority
+from .factory import ProtocolFactory
 from .flooding import FloodInstance, flood_rounds
 
 Label = Tuple[Hashable, ...]
@@ -72,6 +73,8 @@ class EIGProtocol(Protocol):
     *breakable by equivocation* below that bound — which is the point of
     carrying it as a baseline.
     """
+
+    kind = "eig"
 
     def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int):
         if input_value not in (0, 1):
@@ -122,25 +125,9 @@ class EIGProtocol(Protocol):
         return self._output
 
 
-class EIGFactory:
-    """Picklable honest-protocol factory for :class:`EIGProtocol`."""
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-
-    def __call__(self, node: Hashable, input_value: int) -> EIGProtocol:
-        return EIGProtocol(self.graph, node, self.f, input_value)
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "eig", "f": self.f}
-
-
-def eig_factory(graph: Graph, f: int) -> EIGFactory:
+def eig_factory(graph: Graph, f: int) -> ProtocolFactory:
     """Honest-protocol factory for :class:`EIGProtocol`."""
-    return EIGFactory(graph, f)
+    return ProtocolFactory(EIGProtocol, graph, f)
 
 
 class EIGEquivocatingAdversary(Adversary):
@@ -192,6 +179,8 @@ class DolevEIGProtocol(Protocol):
     honest senders are always read correctly; with ``n ≥ 3f + 1`` the
     EIG resolve then yields consensus.
     """
+
+    kind = "dolev-eig"
 
     def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int):
         if input_value not in (0, 1):
@@ -268,22 +257,6 @@ class DolevEIGProtocol(Protocol):
                     self.tree.setdefault(label + (q,), majority(vals))
 
 
-class DolevEIGFactory:
-    """Picklable honest-protocol factory for :class:`DolevEIGProtocol`."""
-
-    def __init__(self, graph: Graph, f: int):
-        self.graph = graph
-        self.f = f
-
-    def __call__(self, node: Hashable, input_value: int) -> DolevEIGProtocol:
-        return DolevEIGProtocol(self.graph, node, self.f, input_value)
-
-    def flight_spec(self) -> dict:
-        """JSON-ready recipe for the flight recorder (graph travels
-        separately in the flight header)."""
-        return {"kind": "dolev-eig", "f": self.f}
-
-
-def dolev_eig_factory(graph: Graph, f: int) -> DolevEIGFactory:
+def dolev_eig_factory(graph: Graph, f: int) -> ProtocolFactory:
     """Honest-protocol factory for :class:`DolevEIGProtocol`."""
-    return DolevEIGFactory(graph, f)
+    return ProtocolFactory(DolevEIGProtocol, graph, f)

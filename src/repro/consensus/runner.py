@@ -329,6 +329,17 @@ def run_consensus(
     return result
 
 
+def factory_flight_spec(factory: HonestFactory) -> dict:
+    """``factory.flight_spec()``, or an opaque stand-in naming the factory
+    by qualified name — never ``repr``, whose memory address would make
+    the header differ between processes.  Replay refuses opaque specs."""
+    spec_fn = getattr(factory, "flight_spec", None)
+    if callable(spec_fn):
+        return spec_fn()
+    name = getattr(factory, "__qualname__", type(factory).__qualname__)
+    return {"kind": "opaque", "name": name}
+
+
 def _flight_header(
     graph: Graph,
     inputs: Mapping[Hashable, int],
@@ -345,18 +356,14 @@ def _flight_header(
     """The flight header: everything a replay needs, JSON-canonical.
 
     Factories publish their own rebuild recipe via a duck-typed
-    ``flight_spec()``; one without it is recorded as opaque — the flight
-    stays fully analyzable, and only ``replay`` refuses it.  The
+    ``flight_spec()``; one without it is recorded as opaque (see
+    :func:`factory_flight_spec`) — the flight stays fully analyzable,
+    and only ``replay`` refuses it.  The
     adversary is recorded by battery name (plus its seed/crash knobs
     when present), the scheduler as its frozen spec fields, and
     ``max_rounds`` as the *resolved* budget so replay never re-derives.
     """
-    spec_fn = getattr(honest_factory, "flight_spec", None)
-    factory_spec = (
-        spec_fn()
-        if callable(spec_fn)
-        else {"kind": "opaque", "repr": repr(honest_factory)}
-    )
+    factory_spec = factory_flight_spec(honest_factory)
     adversary_spec = None
     if adversary is not None:
         adversary_spec = {

@@ -24,7 +24,7 @@ domain types that matter repo-wide (``Graph.nodes``,
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 # Inferred expression kinds.  ``None`` everywhere means "unknown".
 SET = "set"
@@ -92,35 +92,25 @@ def dotted_name(node: ast.expr) -> Optional[str]:
 
 
 class Scope:
-    """One lexical scope: name → inferred kind, plus the defining nodes."""
+    """One lexical scope: name → inferred kind."""
 
     def __init__(self, node: ast.AST, parent: Optional["Scope"] = None):
         self.node = node
         self.parent = parent
         self.kinds: Dict[str, Optional[str]] = {}
-        self.defs: Dict[str, ast.AST] = {}
 
-    def bind(self, name: str, kind: Optional[str], node: ast.AST) -> None:
+    def bind(self, name: str, kind: Optional[str]) -> None:
         if name in self.kinds and self.kinds[name] != kind:
             # Conflicting rebinds: give up on this name (stay silent).
             self.kinds[name] = None
         else:
             self.kinds[name] = kind
-        self.defs[name] = node
 
     def lookup(self, name: str) -> Optional[str]:
         scope: Optional[Scope] = self
         while scope is not None:
             if name in scope.kinds:
                 return scope.kinds[name]
-            scope = scope.parent
-        return None
-
-    def lookup_def(self, name: str) -> Optional[ast.AST]:
-        scope: Optional[Scope] = self
-        while scope is not None:
-            if name in scope.defs:
-                return scope.defs[name]
             scope = scope.parent
         return None
 
@@ -191,14 +181,14 @@ class ModuleModel:
         for arg in (
             list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
         ):
-            scope.bind(arg.arg, _annotation_kind(arg.annotation), arg)
+            scope.bind(arg.arg, _annotation_kind(arg.annotation))
 
     def _bind_statement(self, scope: Scope, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside_function = isinstance(
                 scope.node, (ast.FunctionDef, ast.AsyncFunctionDef)
             )
-            scope.bind(stmt.name, LOCAL_DEF if inside_function else None, stmt)
+            scope.bind(stmt.name, LOCAL_DEF if inside_function else None)
             if isinstance(scope.node, ast.Module):
                 self.functions[stmt.name] = stmt
             self._build_scope(stmt, scope)
@@ -206,18 +196,18 @@ class ModuleModel:
             inside_function = isinstance(
                 scope.node, (ast.FunctionDef, ast.AsyncFunctionDef)
             )
-            scope.bind(stmt.name, LOCAL_CLASS if inside_function else None, stmt)
+            scope.bind(stmt.name, LOCAL_CLASS if inside_function else None)
             self._build_scope(stmt, scope)
         elif isinstance(stmt, ast.Assign):
             kind = self.infer(stmt.value, scope)
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
-                    scope.bind(target.id, kind, stmt.value)
+                    scope.bind(target.id, kind)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             kind = _annotation_kind(stmt.annotation)
             if kind is None and stmt.value is not None:
                 kind = self.infer(stmt.value, scope)
-            scope.bind(stmt.target.id, kind, stmt.value or stmt)
+            scope.bind(stmt.target.id, kind)
         else:
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.stmt):
@@ -382,15 +372,3 @@ class ModuleModel:
             if kind in UNPICKLABLE_KINDS:
                 return kind
         return None
-
-
-def iter_comprehension_generators(
-    node: ast.AST,
-) -> Iterable[Tuple[ast.comprehension, ast.AST]]:
-    """Yield ``(generator, owning comprehension)`` pairs under ``node``."""
-    for child in ast.walk(node):
-        if isinstance(
-            child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
-            for gen in child.generators:
-                yield gen, child

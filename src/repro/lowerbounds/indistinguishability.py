@@ -21,22 +21,19 @@ The pipeline mirrors the proofs exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..consensus.runner import ConsensusResult, run_consensus
 from ..net.adversary import (
     Adversary,
     CompositeAdversary,
+    HonestFactory,
     ReplayAdversary,
     SplitReplayAdversary,
 )
 from ..net.channels import hybrid_model, local_broadcast_model
-from ..net.node import Protocol
 from .constructions import ExecutionSpec, ImpossibilityScenario
 from .covering import CopyId, CoveringSimulator
-
-HonestFactory = Callable[[Hashable, int], Protocol]
-
 
 @dataclass(frozen=True)
 class ExecutionReport:

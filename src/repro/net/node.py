@@ -111,6 +111,14 @@ class Protocol(ABC):
     final round, so ``finished`` is separate from having an output.
     """
 
+    #: Name under which flight recordings store this protocol's factory;
+    #: replay looks it up (``None``: not in the replay table).
+    kind: Optional[str] = None
+    #: When true, :class:`~repro.consensus.factory.ProtocolFactory` builds
+    #: one ``PathOracle`` per graph and passes it as ``oracle=`` to every
+    #: instance.
+    shares_oracle: bool = False
+
     @abstractmethod
     def on_round(self, ctx: Context) -> None:
         """Handle one synchronous round (read inbox, queue sends, update state)."""

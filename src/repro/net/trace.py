@@ -131,9 +131,6 @@ class Trace:
         if t.round_no > self.rounds:
             self.rounds = t.round_no
 
-    def record_delivery(self, d: Delivery) -> None:
-        self.deliveries.append(d)
-
     def record_decision(self, d: Decision) -> None:
         self.decisions.append(d)
 

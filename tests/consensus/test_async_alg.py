@@ -26,7 +26,7 @@ import pytest
 from repro.analysis import consensus_sweep
 from repro.consensus import (
     AsyncConsensusProtocol,
-    AsyncFactory,
+    ProtocolFactory,
     algorithm2_factory,
     async_factory,
     check_async_local_broadcast,
@@ -270,7 +270,7 @@ class TestComposition:
     def test_factory_pickles(self):
         factory = async_factory(wheel_graph(5), 1)
         clone = pickle.loads(pickle.dumps(factory))
-        assert isinstance(clone, AsyncFactory)
+        assert isinstance(clone, ProtocolFactory)
         assert (clone.f, clone.graph) == (1, factory.graph)
         protocol = clone(0, 1)
         assert isinstance(protocol, AsyncConsensusProtocol)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.consensus import Algorithm1Factory, PathOracle, algorithm1_factory
+from repro.consensus import PathOracle, algorithm1_factory
 from repro.consensus.runner import run_consensus
 from repro.graphs import (
     cycle_graph,
@@ -123,7 +123,7 @@ class TestDisjointPathsExcluding:
 class TestSharing:
     def test_factory_shares_one_oracle(self):
         graph = cycle_graph(5)
-        factory = Algorithm1Factory(graph, 1)
+        factory = algorithm1_factory(graph, 1)
         p0 = factory(0, 0)
         p1 = factory(1, 1)
         assert p0.oracle is p1.oracle is factory.oracle

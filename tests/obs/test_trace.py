@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis import consensus_sweep, replay_flight
 from repro.consensus import (
     OUTCOME_DECIDED,
@@ -36,8 +37,10 @@ from repro.consensus import (
     algorithm3_factory,
     async_factory,
     run_consensus,
+    synchronize_factory,
 )
-from repro.consensus.baselines import DolevEIGFactory, EIGFactory
+from repro.consensus.ablation import ablated_algorithm1_factory
+from repro.consensus.baselines import dolev_eig_factory, eig_factory
 from repro.graphs import complete_graph, wheel_graph
 from repro.net import standard_adversaries
 from repro.net import trace as net_trace
@@ -45,6 +48,7 @@ from repro.net.sched import SchedulerSpec
 from repro.obs import (
     CausalDag,
     FlightRecord,
+    FlightReplayError,
     blame,
     critical_path,
     label_key,
@@ -75,14 +79,15 @@ def record_run(graph, factory, *, f=1, faulty=(), adversary=None,
 
 
 def scenario_factories(graph, k4):
-    """Five fixed-round factories plus the native async algorithm."""
+    """Six fixed-round factories plus the native async algorithm."""
     return [
         ("alg1", graph, algorithm1_factory(graph, 1)),
         ("alg2", graph, algorithm2_factory(graph, 1)),
         ("alg3", graph, algorithm3_factory(graph, 1, 0)),
         ("async", graph, async_factory(graph, 1)),
-        ("eig", k4, EIGFactory(k4, 1)),
-        ("dolev-eig", k4, DolevEIGFactory(k4, 1)),
+        ("eig", k4, eig_factory(k4, 1)),
+        ("dolev-eig", k4, dolev_eig_factory(k4, 1)),
+        ("ablated", graph, ablated_algorithm1_factory(graph, 1)),
     ]
 
 
@@ -155,6 +160,31 @@ class TestReplay:
             record = record_run(graph, factory, scheduler=scheduler)
             outcome = replay_flight(record)
             assert outcome.identical, (name, outcome.diff)
+
+    def test_opaque_factory_header_is_address_free(self, tmp_path, capsys):
+        """A factory without ``flight_spec()`` is recorded by qualified
+        name, not ``repr``: two live lambdas with the same body record
+        identical flights (bare and synchronized), and replay refuses
+        them."""
+        w5 = wheel_graph(5)
+        inner = algorithm1_factory(w5, 1)
+        first = lambda node, value: inner(node, value)  # noqa: E731
+        second = lambda node, value: inner(node, value)  # noqa: E731
+        bare = [record_run(w5, fac) for fac in (first, second)]
+        wrapped = [record_run(w5, synchronize_factory(fac))
+                   for fac in (first, second)]
+        for a, b in (bare, wrapped):
+            assert a.to_ndjson() == b.to_ndjson()
+        spec = bare[0].header["factory"]
+        assert spec == {"kind": "opaque", "name": first.__qualname__}
+        assert wrapped[0].header["factory"]["inner"] == spec
+        for record in (bare[0], wrapped[0]):
+            with pytest.raises(FlightReplayError, match="<lambda>"):
+                replay_flight(record)
+        path = tmp_path / "opaque.ndjson"
+        bare[0].save(str(path))
+        assert main(["trace", "replay", str(path)]) == 2
+        capsys.readouterr()
 
     def test_replay_of_disagreed_run(self):
         w5 = wheel_graph(5)
