@@ -1,4 +1,4 @@
-"""ABL — ablations of the design choices DESIGN.md calls out.
+"""ABL — ablations of two design choices the paper's proofs lean on.
 
 Regenerates: (a) flooding rule (ii) is load-bearing — the same re-init
 attack that is harmless under the paper's rules breaks validity when the
@@ -7,12 +7,8 @@ safety margin — at ``f`` a single faulty relay forges reliable receipt.
 """
 
 from _tables import print_table
-from repro.consensus import algorithm1_factory, run_consensus
-from repro.consensus.ablation import (
-    ReInitAdversary,
-    ablated_algorithm1_factory,
-    reliable_value_with_threshold,
-)
+from repro.consensus import algorithm1_factory, reliable_value, run_consensus
+from repro.consensus.ablation import ReInitAdversary, ablated_algorithm1_factory
 from repro.graphs import cycle_graph, paper_figure_1a
 from repro.net import ValuePayload
 
@@ -55,7 +51,9 @@ def threshold_ablation():
     }
     rows = []
     for threshold, label in [(2, "f + 1 (paper)"), (1, "f (ablated)")]:
-        value = reliable_value_with_threshold(g, threshold, 0, delivered, 2)
+        # Definition C.1 demands f + 1 disjoint paths, so threshold k is
+        # reliable_value with f = k - 1.
+        value = reliable_value(g, threshold - 1, 0, delivered, 2)
         rows.append((label, threshold, str(value)))
     return rows
 

@@ -91,6 +91,9 @@ class ExactConsensusProtocol(Protocol):
     """
 
     shares_oracle = True
+    #: Flooding rule (ii), the equivocation defense.  Only the ablation
+    #: subclass turns it off, to show it is load-bearing.
+    enforce_rule_ii = True
 
     def __init__(self, graph: Graph, node: Hashable, f: int, input_value: int,
                  t: int = 0, oracle: Optional[PathOracle] = None):
@@ -134,6 +137,7 @@ class ExactConsensusProtocol(Protocol):
                 phase=("exact", phase_idx),
                 default_payload=ValuePayload(1),
                 validator=self._valid_payload,
+                enable_rule_ii=self.enforce_rule_ii,
             )
             self._flood.initiate(ctx, ValuePayload(self.gamma))
         else:
@@ -242,23 +246,6 @@ class ExactConsensusProtocol(Protocol):
             if has_disjoint_mask_packing(masks, self.f + 1):
                 self.gamma = delta
                 return
-
-    def _path_excluding(
-        self, u: Hashable, excluded: FrozenSet[Hashable] | set
-    ) -> Optional[Tuple[Hashable, ...]]:
-        """One ``u → me`` path with no internal node in ``excluded``.
-
-        Lemma 5.4 (resp. D.4) guarantees existence whenever the graph
-        meets the feasibility conditions; on deficient graphs (used by the
-        impossibility experiments) this may return ``None`` and the caller
-        falls back to the default classification.  Delegated to the
-        (shared) :class:`~repro.consensus.path_oracle.PathOracle`, so the
-        pruned graph and BFS tree for each candidate set are computed once
-        per graph rather than once per node per phase.
-        """
-        if not isinstance(excluded, frozenset):
-            excluded = frozenset(excluded)
-        return self.oracle.path_excluding(u, self.me, excluded)
 
 
 class Algorithm1Protocol(ExactConsensusProtocol):

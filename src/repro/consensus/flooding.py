@@ -44,7 +44,7 @@ traffic are byte-identical to the tuple-walking implementation
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from ..graphs import Graph
@@ -198,14 +198,45 @@ class FloodInstance:
         """
         if ctx.metrics is not self._cells_from:
             self._bind_cells(ctx.metrics)
+        accepted = self._apply_rules(ctx, ctx.inbox)
+        if not self._defaults_applied:
+            self._defaults_applied = True
+            if self.default_payload is not None:
+                # Any neighbor whose valid initiation is absent is read as
+                # having flooded the default; rule (ii) rejects the
+                # substitute wherever a real initiation already claimed
+                # the (neighbor, ⊥) slot.  Substitutes stand in for
+                # initiations *heard* by me, so they range over
+                # in-neighbors (identical on a Graph).
+                substitute = FloodMessage(self.phase, self.default_payload, ())
+                defaults = self._apply_rules(
+                    ctx,
+                    [
+                        (nbr, substitute)
+                        for nbr in self.graph.sorted_in_neighbors(self.me)
+                    ],
+                )
+                if defaults:
+                    self._c_default(defaults)
+                    accepted += defaults
+        if accepted:
+            # The path set only grows, so one high-water reading after
+            # the round equals the per-accept maximum it replaces — and
+            # the gauge key still appears only if something was accepted.
+            self._g_path_set(len(self.delivered))
+        return accepted
+
+    def _apply_rules(
+        self, ctx: Context, arrivals: Iterable[Tuple[Hashable, object]]
+    ) -> int:
+        """Rules (i)–(iv) over ``(sender, message)`` arrivals, in order;
+        returns how many were accepted.
+
+        Every per-message lookup is hoisted to a local — this loop runs
+        once per delivered message and dominates sweep time.
+        """
         accepted = 0
         phase = self.phase
-        # Inline copy of the :meth:`_accept` rule pipeline with every
-        # per-message lookup hoisted to a local — this loop runs once
-        # per delivered message and dominates sweep time.  Keep it in
-        # lockstep with ``_accept`` (the default-substitution path below
-        # still calls it, and the legacy-equivalence property tests
-        # drive both paths).
         index = self._index
         index_of = index.index_of
         adj = index.adj_masks
@@ -222,7 +253,7 @@ class FloodInstance:
         by_origin = self._by_origin
         outbox_append = ctx.outbox.append
         rej_i = rej_ii = rej_iii = rej_validator = 0
-        for sender, message in ctx.inbox:
+        for sender, message in arrivals:
             if not isinstance(message, FloodMessage) or message.phase != phase:
                 continue
             pi = message.path
@@ -230,7 +261,9 @@ class FloodInstance:
             if walk is _UNWALKED:
                 walk = walk_fn(pi)
                 walks[pi] = walk
-            # Rule (i): Π - u must exist in G.
+            # Rule (i): Π - u must exist in G — Π itself is a simple
+            # in-graph path, the sender extends it by one edge, and the
+            # sender is not already on it.
             sender_idx = index_of.get(sender)
             if (
                 walk is None
@@ -246,19 +279,28 @@ class FloodInstance:
                 rej_iii += 1
                 continue
             extended = pi + (sender,)  # Π - u
+            # Validity (rules (i), (iii), payload checks) runs *before*
+            # rule (ii) marks the slot: malformed traffic must not burn a
+            # slot, or a garbage "initiation" could suppress the
+            # default-message substitution that Lemma 5.3 needs.
             if validator is not None and not validator(
                 message.payload, extended
             ):
                 rej_validator += 1
                 continue
-            # Rule (ii): first well-formed message per (sender, Π) slot.
+            # Rule (ii): first well-formed message per (sender, Π) slot —
+            # equivocation prevention.  The slot key is the packed
+            # encoding of Π + (sender,): injective over the exact node
+            # sequence, so two annotations sharing a node set (or a last
+            # hop) never merge slots.
             if rule_ii:
                 slot = (packed << shift) | (sender_idx + 1)
                 if slot in seen:
                     rej_ii += 1
                     continue
                 seen.add(slot)
-            # Rule (iv): accept along Π - u and forward (b, Π - u).
+            # Rule (iv): accept along Π - u (recorded as the uv-path
+            # ending here) and forward (b, Π - u).
             payload = message.payload
             full = extended + (me,)
             delivered[full] = payload
@@ -284,95 +326,7 @@ class FloodInstance:
             self._c_rej_iii(rej_iii)
         if rej_validator:
             self._c_rej_validator(rej_validator)
-        if not self._defaults_applied:
-            self._defaults_applied = True
-            if self.default_payload is not None:
-                # Any neighbor whose valid initiation is absent is read as
-                # having flooded the default; rule (ii) rejects the
-                # substitute wherever a real initiation already claimed
-                # the (neighbor, ⊥) slot.
-                accept = self._accept
-                # Substitutes stand in for initiations *heard* by me, so
-                # they range over in-neighbors (identical on a Graph).
-                for nbr in self.graph.sorted_in_neighbors(self.me):
-                    substitute = FloodMessage(phase, self.default_payload, ())
-                    if accept(ctx, nbr, substitute):
-                        accepted += 1
-                        self._c_default()
-        if accepted:
-            # The path set only grows, so one high-water reading after
-            # the round equals the per-accept maximum it replaces — and
-            # the gauge key still appears only if something was accepted.
-            self._g_path_set(len(self.delivered))
         return accepted
-
-    # ------------------------------------------------------------------
-    def _accept(self, ctx: Context, sender: Hashable, message: FloodMessage) -> bool:
-        """Rules (i)–(iv) for one received message.  True iff accepted.
-
-        Validity (rules (i), (iii), payload checks) runs *before* the
-        duplicate rule (ii) marks the ``(sender, Π)`` slot: malformed
-        traffic must not burn a slot, or a garbage "initiation" could
-        suppress the default-message substitution that Lemma 5.3 needs.
-        All neighbors of a sender hear the same transmissions in the same
-        order, so this decision is identical everywhere.
-        """
-        index = self._index
-        pi = message.path
-        walks = self._walks
-        walk = walks.get(pi, _UNWALKED)
-        if walk is _UNWALKED:
-            walk = index.walk(pi)
-            walks[pi] = walk
-        # Rule (i): Π - u must exist in G — Π itself is a simple in-graph
-        # path, the sender extends it by one edge, and the sender is not
-        # already on it.
-        sender_idx = index.index_of.get(sender)
-        if (
-            walk is None
-            or sender_idx is None
-            or walk[0] >> sender_idx & 1
-            or (walk[2] >= 0 and not index.adj_masks[walk[2]] >> sender_idx & 1)
-        ):
-            self._c_rej_i()
-            return False
-        mask, packed, _last = walk
-        # Rule (iii): Π must not already contain me.
-        if mask & self._me_bit:
-            self._c_rej_iii()
-            return False
-        extended = pi + (sender,)  # Π - u
-        # Optional payload validation (e.g. report bundles must originate
-        # at their claimed reporter).
-        if self.validator is not None and not self.validator(message.payload, extended):
-            self._c_rej_validator()
-            return False
-        # Rule (ii): only the first well-formed message per (sender, Π)
-        # slot is ever accepted — equivocation prevention.  The slot key
-        # is the packed encoding of Π + (sender,): injective over the
-        # exact node sequence, so two distinct annotations sharing a
-        # node set (or a last hop) never merge slots.
-        if self.enable_rule_ii:
-            slot = (packed << index.shift) | (sender_idx + 1)
-            seen = self._seen
-            if slot in seen:
-                self._c_rej_ii()
-                return False
-            seen.add(slot)
-        # Rule (iv): accept along Π - u (recorded as the uv-path ending
-        # here) and forward (b, Π - u).
-        payload = message.payload
-        full = extended + (self.me,)
-        self.delivered[full] = payload
-        self._masks[full] = mask | (1 << sender_idx) | self._me_bit
-        origin = extended[0]
-        by_origin = self._by_origin.get(origin)
-        if by_origin is None:
-            by_origin = self._by_origin[origin] = {}
-        by_origin[full] = payload
-        ctx.broadcast(FloodMessage(self.phase, payload, extended))
-        self._c_accepted()
-        return True
 
     # ------------------------------------------------------------------
     # Read-side helpers used by steps (b)/(c) and Definition C.1

@@ -211,9 +211,12 @@ class PathOracle:
         """One shortest ``u → v`` path with no internal node in
         ``excluded`` (endpoints may belong to it), or ``None``.
 
-        Semantics match ``ExactConsensusProtocol._path_excluding``: the
-        pruned graph is ``G − (excluded − {u, v})`` and a missing
-        endpoint or disconnection yields ``None``.
+        The pruned graph is ``G − (excluded − {u, v})`` and a missing
+        endpoint or disconnection yields ``None``.  This is Algorithm 1's
+        step-(b) path ``P_uv``: Lemma 5.4 (resp. D.4) guarantees it exists
+        whenever the graph meets the feasibility conditions, so ``None``
+        arises only on the deficient graphs of the impossibility
+        experiments.
         """
         key = (self._set_key(excluded), self._node_key(u), self._node_key(v))
         if key in self._paths:

@@ -33,15 +33,10 @@ on its path, so honest downstream nodes are never blamed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Tuple
 
-from ..graphs import (
-    Graph,
-    has_disjoint_mask_packing,
-    has_disjoint_path_packing,
-    max_disjoint_paths,
-)
+from ..graphs import Graph, has_disjoint_mask_packing
 from ..net.messages import FloodMessage, ValuePayload
 from ..obs import NULL_METRICS
 
@@ -60,30 +55,6 @@ class ReportBundle:
 
     reporter: Hashable
     entries: Tuple[Tuple[Hashable, Transcript], ...]
-    #: lazily built subject→transcript map; excluded from repr, equality
-    #: and hashing, so two bundles with equal entries stay canonically
-    #: equal whether or not either has been queried.
-    _by_subject: Optional[Dict[Hashable, Transcript]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def transcript_of(self, subject: Hashable) -> Optional[Transcript]:
-        """The transcript this bundle claims for ``subject``, if any.
-
-        Served from a cached mapping built on first use.  The build
-        keeps the *first* entry per subject — a Byzantine bundle may
-        carry duplicate subjects, and the linear scan this replaces
-        returned the first match.
-        """
-        mapping = self._by_subject
-        if mapping is None:
-            mapping = {}
-            for s, transcript in self.entries:
-                if s not in mapping:
-                    mapping[s] = transcript
-            # frozen dataclass: route the cache write around __setattr__.
-            object.__setattr__(self, "_by_subject", mapping)
-        return mapping.get(subject)
 
     @classmethod
     def build(
@@ -137,39 +108,6 @@ def reliable_value(
     return payload.value if isinstance(payload, ValuePayload) else None
 
 
-def _interior_masks(
-    graph: Graph,
-    paths: List[PathTuple],
-    origin: Hashable,
-    me: Hashable,
-    path_mask: Optional[Callable[[PathTuple], int]],
-) -> Optional[List[int]]:
-    """Internal-node bitmasks for a group of ``origin→me`` paths.
-
-    With a ``path_mask`` lookup (the flood's full-path visited masks)
-    this is two bit-clears per path; otherwise the masks are rebuilt
-    from the index.  Returns ``None`` when any path carries a node the
-    index does not know (possible only for hand-built ``delivered``
-    dicts) — the caller then falls back to the frozenset packing, so
-    the decision stays exactly equal to the legacy implementation.
-    """
-    index = graph.node_index()
-    index_of = index.index_of
-    if path_mask is not None:
-        o_idx = index_of.get(origin)
-        me_idx = index_of.get(me)
-        if o_idx is not None and me_idx is not None:
-            ends = (1 << o_idx) | (1 << me_idx)
-            return [path_mask(p) & ~ends for p in paths]
-    masks: List[int] = []
-    for p in paths:
-        mask = index.mask_of_strict(p[1:-1])
-        if mask is None:
-            return None
-        masks.append(mask)
-    return masks
-
-
 def reliable_payload(
     graph: Graph,
     f: int,
@@ -202,6 +140,11 @@ def reliable_payload(
     certificate, the per-payload search is skipped entirely, and the
     (shared) oracle answers from cache for every instance asking about
     the same origin.
+
+    ``path_mask`` maps a delivered path to its visited-set bitmask — a
+    flood's :meth:`~repro.consensus.flooding.FloodInstance.path_mask`
+    (every production caller passes one); it defaults to recomputing the
+    mask from the graph's node index.
     """
     metrics.inc("reliable.queries")
     if origin == me:
@@ -228,17 +171,16 @@ def reliable_payload(
             # failed — the count saved by the graph-level precheck.
             metrics.inc("reliable.precheck_saved", len(groups))
             return None
+    index = graph.node_index()
+    if path_mask is None:
+        path_mask = index.mask_of
+    # Disjointness runs over internal-node bitmasks (two paths conflict
+    # iff mask_a & mask_b != 0): a full path's mask minus its two ends.
+    ends = index.mask_of((origin, me))
     for payload in sorted(groups, key=repr):
         metrics.inc("reliable.packing_checks")
-        # Disjointness runs over internal-node bitmasks (two paths
-        # conflict iff mask_a & mask_b != 0); the frozenset search is
-        # kept as the fallback for paths the index cannot encode.
-        masks = _interior_masks(graph, groups[payload], origin, me, path_mask)
-        if masks is not None:
-            packed = has_disjoint_mask_packing(masks, f + 1)
-        else:
-            packed = has_disjoint_path_packing(groups[payload], f + 1, mode="uv")
-        if packed:
+        masks = [path_mask(p) & ~ends for p in groups[payload]]
+        if has_disjoint_mask_packing(masks, f + 1):
             return payload
     return None
 
@@ -328,9 +270,9 @@ class ClaimIndex:
         self.own_sent = own_sent
         # transcript evidence: subject -> claimed transcript -> [composite paths]
         self._transcript_paths: Dict[Hashable, Dict[Transcript, List[PathTuple]]] = {}
-        # composite path -> internal-node bitmask (None if the index
-        # cannot encode it); the packing currency of both certificates.
-        self._composite_masks: Dict[PathTuple, Optional[int]] = {}
+        # composite path -> internal-node bitmask; the packing currency
+        # of both certificates.
+        self._composite_masks: Dict[PathTuple, int] = {}
         index = graph.node_index()
         # repro: allow[REPRO001] bundle_deliveries preserves the
         # deterministic flood-processing insertion order; the evidence
@@ -349,9 +291,7 @@ class ClaimIndex:
                 composite = (subject,) + path
                 if composite not in self._composite_masks:
                     # internal nodes of (subject,) + path are path[:-1]
-                    self._composite_masks[composite] = index.mask_of_strict(
-                        path[:-1]
-                    )
+                    self._composite_masks[composite] = index.mask_of(path[:-1])
                 self._transcript_paths.setdefault(subject, {}).setdefault(
                     transcript, []
                 ).append(composite)
@@ -361,15 +301,9 @@ class ClaimIndex:
     # ------------------------------------------------------------------
     def _packs(self, paths: List[PathTuple]) -> bool:
         """``f + 1`` internally node-disjoint paths among ``paths``?
-
-        Mask packing over the composite masks computed at build time;
-        falls back to the frozenset search iff some path carried an
-        off-index node (identical decision either way).
-        """
-        masks = [self._composite_masks.get(p) for p in paths]
-        if all(m is not None for m in masks):
-            return has_disjoint_mask_packing(masks, self.f + 1)
-        return has_disjoint_path_packing(paths, self.f + 1, mode="uv")
+        Mask packing over the composite masks computed at build time."""
+        masks = self._composite_masks
+        return has_disjoint_mask_packing([masks[p] for p in paths], self.f + 1)
 
     # ------------------------------------------------------------------
     def reliable_transcript(self, subject: Hashable) -> Optional[Transcript]:
@@ -432,8 +366,8 @@ def detect_faults(
     reliable_values: Dict[Hashable, int],
     claims: ClaimIndex,
     phase1_tag: Hashable,
+    oracle: "PathOracle",
     first_round: int = 1,
-    oracle: Optional["PathOracle"] = None,
 ) -> set[Hashable]:
     """Phase-2 fault localization (Algorithm 2, phase 2).
 
@@ -473,11 +407,10 @@ def detect_faults(
     omissions occur only downstream of an earlier (faulty) deviator,
     which is detected first and shadows them.
 
-    When a shared :class:`~repro.consensus.path_oracle.PathOracle` is
-    supplied, the disjoint-path families come from its per-pair memo —
-    identical answers, computed once per graph instead of once per
-    (instance, run, pair); otherwise each pair runs the generic
-    max-flow routine directly.
+    The disjoint-path families come from the shared
+    :class:`~repro.consensus.path_oracle.PathOracle`'s per-pair memo —
+    a pure function of the static graph and the pair, computed once per
+    graph instead of once per (instance, run, pair).
     """
     detected: set[Hashable] = set()
     # Depends only on z's transcript — memoized so the quadruple loop
@@ -502,13 +435,7 @@ def detect_faults(
         for u in sorted(graph.nodes, key=repr):
             if u == w:
                 continue
-            if oracle is not None:
-                # The path family is a pure function of the static graph
-                # and the pair — the shared oracle answers it once per
-                # pair instead of once per (instance, run, pair).
-                paths = oracle.disjoint_paths_between(w, u)
-            else:
-                _count, paths = max_disjoint_paths(graph, w, u, want_paths=True)
+            paths = oracle.disjoint_paths_between(w, u)
             for path in sorted(paths, key=repr)[: 2 * f]:
                 for idx in range(1, len(path) - 1):
                     z = path[idx]

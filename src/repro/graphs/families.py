@@ -143,8 +143,8 @@ def paper_figure_1b() -> Graph:
     The paper shows a drawing without an explicit edge list; any graph
     with min degree ≥ 4 and κ ≥ 4 fits the claim.  We use the circulant
     C_8(1, 2): 8 nodes, 4-regular, 4-connected — exactly tight for
-    f = 2 (min degree 4 = 2f, κ = 4 ≥ ⌊3f/2⌋ + 1 = 4).  Documented as a
-    substitution in DESIGN.md.
+    f = 2 (min degree 4 = 2f, κ = 4 ≥ ⌊3f/2⌋ + 1 = 4).  The edge list is
+    therefore our substitution, not the paper's drawing.
     """
     return circulant_graph(8, [1, 2])
 

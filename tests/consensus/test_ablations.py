@@ -1,15 +1,12 @@
-"""Ablations: the design choices DESIGN.md calls out are load-bearing."""
+"""Ablations: flooding rule (ii) and Definition C.1's ``f + 1``
+threshold are load-bearing."""
 
 import pytest
 
-from repro.consensus import algorithm1_factory, run_consensus
-from repro.consensus.ablation import (
-    ReInitAdversary,
-    ablated_algorithm1_factory,
-    reliable_value_with_threshold,
-)
-from repro.graphs import cycle_graph, paper_figure_1a
-from repro.net import ValuePayload
+from repro.consensus import algorithm1_factory, reliable_value, run_consensus
+from repro.consensus.ablation import ReInitAdversary, ablated_algorithm1_factory
+from repro.graphs import cycle_graph, has_disjoint_path_packing, paper_figure_1a
+from repro.net import Context, ValuePayload, local_broadcast_model
 
 # The deterministic witness found by searching C5 instances: all honest
 # inputs 0, faulty node 0 re-initiating with value 1 two rounds into
@@ -65,6 +62,23 @@ class TestRuleIIAblation:
         ablated.process_round(ctx([(0, first), (0, second)]))
         assert ablated.delivered[(0, 1)] == ValuePayload(1)  # overwritten
 
+    @pytest.mark.parametrize(
+        "factory, rule_ii",
+        [(algorithm1_factory, True), (ablated_algorithm1_factory, False)],
+    )
+    def test_protocol_floods_follow_enforce_rule_ii(self, c5, factory, rule_ii):
+        """Each phase's flood takes rule (ii) from the protocol class's
+        ``enforce_rule_ii`` — the only difference of the ablated subject."""
+        protocol = factory(c5, 1)(0, 0)
+        assert type(protocol).enforce_rule_ii is rule_ii
+        protocol.on_round(
+            Context(
+                node=0, graph=c5, round_no=1,
+                channel=local_broadcast_model(), inbox=[],
+            )
+        )
+        assert protocol._flood.enable_rule_ii is rule_ii
+
 
 class TestDefinitionC1ThresholdAblation:
     def _delivered_forged(self):
@@ -76,23 +90,44 @@ class TestDefinitionC1ThresholdAblation:
         }
 
     def test_paper_threshold_rejects_forgery(self, c4):
-        value = reliable_value_with_threshold(
-            c4, 2, 0, self._delivered_forged(), 2
-        )  # threshold f+1 = 2
+        value = reliable_value(
+            c4, 1, 0, self._delivered_forged(), 2
+        )  # f = 1: threshold f+1 = 2
         assert value is None  # conflict: nothing reliably received
 
     def test_lower_threshold_is_spoofable(self, c4):
-        value = reliable_value_with_threshold(
-            c4, 1, 0, self._delivered_forged(), 2
-        )  # threshold f = 1
+        value = reliable_value(
+            c4, 0, 0, self._delivered_forged(), 2
+        )  # f passed as 0: threshold 1, the real f
         # With threshold 1 the forged value 0 qualifies (checked first):
         # a single faulty relay controls the outcome.
         assert value == 0
 
     def test_threshold_matches_reference_implementation(self, c4):
-        from repro.consensus import reliable_value
-
-        delivered = {(2, 1, 0): ValuePayload(1), (2, 3, 0): ValuePayload(1)}
-        assert reliable_value(c4, 1, 0, delivered, 2) == (
-            reliable_value_with_threshold(c4, 2, 0, delivered, 2)
-        )
+        """``reliable_value(g, threshold - 1, …)`` is the threshold-``t``
+        certificate: it decides like the frozenset packing reference at
+        every threshold, including 1 (f = 0)."""
+        cases = [
+            self._delivered_forged(),
+            {(2, 1, 0): ValuePayload(1), (2, 3, 0): ValuePayload(1)},
+            {(2, 1, 0): ValuePayload(1)},
+        ]
+        for delivered in cases:
+            for threshold in (1, 2, 3):
+                expected = next(
+                    (
+                        payload.value
+                        for payload in sorted(
+                            set(delivered.values()), key=lambda p: p.value
+                        )
+                        if has_disjoint_path_packing(
+                            [p for p, v in delivered.items() if v == payload],
+                            threshold,
+                            mode="uv",
+                        )
+                    ),
+                    None,
+                )
+                assert reliable_value(
+                    c4, threshold - 1, 0, delivered, 2
+                ) == expected, (delivered, threshold)

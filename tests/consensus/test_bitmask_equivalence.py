@@ -11,12 +11,14 @@ Three oracles are kept in this file or in the shipped tree:
 * :meth:`PathFloodEngine.naive_deliveries_at` is the retained
   enumerate-and-rewalk reference for the prefix-sharing DFS;
 * :func:`has_disjoint_path_packing` is the frozenset twin of the mask
-  packing, and a fresh :func:`reliable_payload` call is the oracle for
-  :class:`ReceiptTracker`'s incremental verdicts.
+  packing (and so the reference for :func:`reliable_payload`'s
+  Definition C.1 certificate), and a fresh :func:`reliable_payload` call
+  is the oracle for :class:`ReceiptTracker`'s incremental verdicts.
 """
 
-import pickle
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,6 @@ from repro.consensus import (
     FloodInstance,
     NodeBehavior,
     PathFloodEngine,
-    ReportBundle,
     reliable_payload,
 )
 from repro.consensus.reliable import ReceiptTracker
@@ -387,23 +388,58 @@ class TestMaskPacking:
         assert not has_disjoint_mask_packing(masks, best + 1)
 
 
-class TestReportBundleCache:
-    def test_first_entry_wins_for_duplicate_subjects(self):
-        bundle = ReportBundle(
-            reporter=0,
-            entries=((1, ("early",)), (1, ("late",)), (2, ("only",))),
-        )
-        assert bundle.transcript_of(1) == ("early",)
-        assert bundle.transcript_of(2) == ("only",)
-        assert bundle.transcript_of(9) is None
+def flooded(graph, me):
+    """A :class:`FloodInstance` at ``me`` after one full fault-free
+    phase: every simple ``origin → me`` path is delivered, so its
+    ``path_mask`` covers every real path of the graph ending at ``me``."""
+    flood, pending = drive_flood(graph, me, {v: 0 for v in graph.nodes})
+    inbox = [
+        (path[-2], FloodMessage("p", ValuePayload(value), path[:-2]))
+        for path, value in pending
+    ]
+    flood.process_round(ctx_for(graph, me, 2, inbox))
+    return flood
 
-    def test_cache_does_not_break_equality_or_pickle(self):
-        a = ReportBundle(reporter=0, entries=((1, ("m",)),))
-        b = ReportBundle(reporter=0, entries=((1, ("m",)),))
-        assert a == b
-        a.transcript_of(1)  # populate a's cache only
-        assert a == b
-        assert hash(a) == hash(b)
-        clone = pickle.loads(pickle.dumps(a))
-        assert clone == a
-        assert clone.transcript_of(1) == ("m",)
+
+class TestReliablePayloadReference:
+    @pytest.mark.parametrize("masks", ["default", "flood"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(BATTERY),
+        st.integers(0, 10**6),
+        st.integers(0, 2),
+    )
+    def test_matches_frozenset_packing(self, masks, battery, seed, f):
+        """Case (3) of Definition C.1 decides like the frozenset
+        reference ``has_disjoint_path_packing(…, f + 1)`` on hand-built
+        deliveries of real simple paths carrying mixed payloads — with
+        the default index masks and with a driven flood's ``path_mask``."""
+        name, graph = battery
+        nodes = sorted(graph.nodes, key=repr)
+        me = nodes[seed % len(nodes)]
+        origin = nodes[(seed // 7) % len(nodes)]
+        if origin == me:
+            return
+        flood = flooded(graph, me)
+        rng = random.Random(seed)
+        paths = [p for p in flood.paths_from(origin) if len(p) >= 3]
+        if paths:
+            paths = rng.sample(paths, rng.randint(1, len(paths)))
+        # Mostly one payload, so packings of every size up to f + 1 = 3
+        # occur; the minority payload plays the forged claims.
+        delivered = {p: ValuePayload(int(rng.random() < 0.2)) for p in paths}
+        groups = {}
+        for path, payload in delivered.items():
+            groups.setdefault(payload, []).append(path)
+        expected = next(
+            (
+                payload
+                for payload in sorted(groups, key=repr)
+                if has_disjoint_path_packing(groups[payload], f + 1, mode="uv")
+            ),
+            None,
+        )
+        path_mask = flood.path_mask if masks == "flood" else None
+        assert reliable_payload(
+            graph, f, me, delivered, origin, path_mask=path_mask
+        ) == expected

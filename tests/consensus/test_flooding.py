@@ -18,6 +18,7 @@ from repro.net import (
     ValuePayload,
     local_broadcast_model,
 )
+from repro.obs import MetricsRegistry
 
 
 def ctx_for(graph, node, round_no, inbox):
@@ -145,6 +146,17 @@ class TestDefaults:
         late = ctx_for(c5, 1, 3, [(0, msg("p", 0, ()))])
         assert flood.process_round(late) == 0
         assert flood.delivered[(0, 1)] == ValuePayload(1)
+
+    def test_substitutions_counted_once_each(self, c5):
+        """The batched ``flood.default_substituted`` fire equals one count
+        per substituted neighbor; a real initiation is not counted."""
+        metrics = MetricsRegistry()
+        flood = FloodInstance(c5, 1, phase="p", default_payload=ValuePayload(1))
+        ctx = ctx_for(c5, 1, 2, [(0, msg("p", 0, ()))])
+        ctx.metrics = metrics
+        flood.process_round(ctx)
+        assert metrics.counter("flood.default_substituted", phase="p") == 1
+        assert metrics.counter("flood.accepted", phase="p") == 2
 
     def test_no_default_no_substitution(self, c5):
         flood = FloodInstance(c5, 1, phase="p", default_payload=None)

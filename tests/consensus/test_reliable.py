@@ -1,8 +1,10 @@
 """Definition C.1 machinery: reliable values, claims, fault detection."""
 
+import pickle
+
 import pytest
 
-from repro.consensus import ClaimIndex, ReportBundle, reliable_value
+from repro.consensus import ClaimIndex, PathOracle, ReportBundle, reliable_value
 from repro.consensus.reliable import detect_faults
 from repro.graphs import complete_graph, cycle_graph
 from repro.net import FloodMessage, ValuePayload
@@ -137,7 +139,8 @@ class TestDetectFaults:
         }
         claims = self._claims_with_transcripts(k4, 0, transcripts)
         detected = detect_faults(
-            k4, 1, 0, {1: 1}, claims, phase1_tag=phase, first_round=1
+            k4, 1, 0, {1: 1}, claims, phase1_tag=phase,
+            oracle=PathOracle(k4), first_round=1,
         )
         assert 2 in detected
 
@@ -152,14 +155,17 @@ class TestDetectFaults:
             transcripts[v] = tuple(msgs)
         claims = self._claims_with_transcripts(k4, 0, transcripts)
         detected = detect_faults(
-            k4, 1, 0, {1: 1, 2: 1, 3: 1}, claims, phase1_tag=phase
+            k4, 1, 0, {1: 1, 2: 1, 3: 1}, claims, phase1_tag=phase,
+            oracle=PathOracle(k4),
         )
         assert detected == set()
 
     def test_never_suspects_self(self, k4):
         phase = "p1"
         claims = self._claims_with_transcripts(k4, 0, {})
-        detected = detect_faults(k4, 1, 0, {1: 1}, claims, phase1_tag=phase)
+        detected = detect_faults(
+            k4, 1, 0, {1: 1}, claims, phase1_tag=phase, oracle=PathOracle(k4)
+        )
         assert 0 not in detected
 
 
@@ -170,11 +176,7 @@ class TestReportBundle:
         assert a == b
         assert [s for s, _ in a.entries] == [1, 2]
 
-    def test_transcript_of(self):
-        b = ReportBundle.build(0, {1: [(1, "x")]})
-        assert b.transcript_of(1) == ((1, "x"),)
-        assert b.transcript_of(9) is None
-
     def test_hashable(self):
         b = ReportBundle.build(0, {1: [(1, "x")]})
         assert len({b, ReportBundle.build(0, {1: [(1, "x")]})}) == 1
+        assert pickle.loads(pickle.dumps(b)) == b
